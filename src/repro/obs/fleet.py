@@ -14,7 +14,7 @@ Layout (under the store root)::
 
     telemetry/metrics/<instance>-<pid>.json   one metric shard per process
     telemetry/traces/<instance>-<pid>.json    one Chrome-trace spill per process
-    telemetry/telemetry.lock                  FileLock guarding shard GC
+    telemetry/telemetry.lock                  FileLock guarding spill GC
 
 **Metric shards** — every process runs a :class:`ShardWriter`: a daemon
 timer thread that atomically rewrites the process's shard (full
@@ -26,10 +26,11 @@ summed; gauges follow their per-metric ``aggregation`` declaration —
 ``"sum"`` for disjoint per-process values (live jobs), ``"per_worker"``
 (one sample per process under a ``worker=<instance>`` label) for gauges
 describing a shared resource, so the merged exposition never silently
-double-counts.  A shard whose pid is dead on this host, or whose
-heartbeat is older than its TTL, is excluded and garbage-collected
-under the telemetry FileLock (check-then-unlink, so concurrent scrapers
-remove it exactly once); a torn/partial shard is treated as absent.
+double-counts.  Shards and trace spills are
+:class:`~repro.service.locking.SpillDir` records: a shard is stale once
+its pid is dead on this host or its heartbeat is older than its TTL;
+trace spills never expire, so ``repro trace --merge`` still sees the
+lanes of pool workers that have exited.
 
 **Trace merge** — :func:`merge_traces` stitches per-process Chrome trace
 documents into one file: each document's timestamps (relative to its
@@ -49,7 +50,6 @@ bit-identical.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import socket
 import threading
@@ -106,49 +106,37 @@ def traces_dir(root: str | Path) -> Path:
     return Path(root) / "telemetry" / "traces"
 
 
-def _telemetry_lock(root: str | Path):
-    from repro.service.locking import FileLock
+def _spill_dir(directory: Path, **policy):
+    # Imported late: importing repro.service loads the store, whose own
+    # imports lead back into repro.obs.
+    from repro.service.locking import SpillDir
 
-    return FileLock(Path(root) / "telemetry" / "telemetry.lock")
+    return SpillDir(directory, directory.parent / "telemetry.lock", **policy)
+
+
+def _parse_shard(path: Path, record: dict) -> "Shard | None":
+    return Shard(path, record) if record.get("schema") == SHARD_SCHEMA else None
+
+
+def _parse_trace(_path: Path, document: dict) -> dict | None:
+    return document if isinstance(document.get("traceEvents"), list) else None
+
+
+def _metric_shards(directory: Path):
+    return _spill_dir(
+        directory, ttl_s=DEFAULT_TTL_S, pid_bound=True, parse=_parse_shard
+    )
+
+
+def _trace_spills(directory: Path):
+    return _spill_dir(directory, parse=_parse_trace)
 
 
 def _atomic_write_json(path: Path, document: dict) -> None:
-    """Write ``document`` atomically (tmp file + rename) next to ``path``."""
-    import tempfile
+    """Write ``document`` atomically (tmp file + rename) at ``path``."""
+    from repro.service.locking import atomic_write
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _safe_instance(instance: str) -> str:
-    return "".join(
-        ch if ch.isalnum() or ch in "-_." else "-" for ch in instance
-    )
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness of a pid on this host."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return True
-    return True
+    atomic_write(path, document)
 
 
 # -- writing ------------------------------------------------------------------
@@ -198,9 +186,11 @@ class ShardWriter:
         self._pid = os.getpid()
         self._host = socket.gethostname()
         self._started_s = time.time()
-        stem = f"{_safe_instance(instance)}-{self._pid}.json"
-        self.path = metrics_dir(self.root) / stem
-        self.trace_path = traces_dir(self.root) / stem
+        self._stem = f"{instance}-{self._pid}"
+        self._shards = _metric_shards(metrics_dir(self.root))
+        self._traces = _trace_spills(traces_dir(self.root))
+        self.path = self._shards.path_of(self._stem)
+        self.trace_path = self._traces.path_of(self._stem)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._write_lock = threading.Lock()
@@ -264,7 +254,7 @@ class ShardWriter:
         }
         with self._write_lock:
             try:
-                _atomic_write_json(self.path, shard)
+                self._shards.write(self._stem, shard)
             except OSError:
                 return False
             if self.tracer is not None:
@@ -282,7 +272,7 @@ class ShardWriter:
         document = self.tracer.to_chrome(instance=self.instance)
         document["otherData"]["role"] = self.role
         try:
-            _atomic_write_json(self.trace_path, document)
+            self._traces.write(self._stem, document)
         except OSError:
             return False
         return True
@@ -324,29 +314,10 @@ class Shard:
             return 0.0
         return float(sum(value for _key, value in metric["values"]))
 
-    def is_stale(self, now: float | None = None, host: str | None = None) -> bool:
-        """Dead pid on this host, or heartbeat older than the TTL."""
-        now = time.time() if now is None else now
-        if now - self.written_s > self.ttl_s:
-            return True
-        host = socket.gethostname() if host is None else host
-        if self.host == host and not _pid_alive(self.pid):
-            return True
-        return False
-
 
 def load_shard(path: Path) -> Shard | None:
     """Parse one shard file; torn/invalid/foreign-schema -> ``None``."""
-    try:
-        record = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError, OSError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("schema") != SHARD_SCHEMA:
-        return None
-    try:
-        return Shard(path, record)
-    except (KeyError, TypeError, ValueError):
-        return None
+    return _metric_shards(path.parent).load(path)
 
 
 def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
@@ -355,33 +326,7 @@ def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
     Ordered by (role, instance) so merged output is stable regardless of
     directory enumeration order.
     """
-    directory = metrics_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
-    now = time.time()
-    host = socket.gethostname()
-    live: list[Shard] = []
-    dead: list[Path] = []
-    for path in paths:
-        shard = load_shard(path)
-        if shard is None:
-            # Torn or foreign file: absent from aggregation; reap it
-            # only once it is old enough that no writer can still be
-            # mid-rewrite next to it.
-            try:
-                if now - path.stat().st_mtime > DEFAULT_TTL_S:
-                    dead.append(path)
-            except OSError:
-                pass
-            continue
-        if shard.is_stale(now=now, host=host):
-            dead.append(path)
-            continue
-        live.append(shard)
-    if gc and dead:
-        gc_stale_shards(root, candidates=dead)
+    live = _metric_shards(metrics_dir(root)).live(gc=gc)
     live.sort(key=lambda s: (s.role, s.instance, s.pid))
     return live
 
@@ -391,39 +336,9 @@ def gc_stale_shards(
 ) -> list[Path]:
     """Remove stale/torn shards under the telemetry lock, exactly once.
 
-    Every candidate is re-checked *under the lock* before the unlink, so
-    two processes scraping concurrently cannot both claim the removal:
-    the loser finds the file gone (or fresh again) and skips it.
     Returns the paths this call actually removed.
     """
-    if candidates is None:
-        directory = metrics_dir(root)
-        try:
-            candidates = sorted(directory.glob("*.json"))
-        except OSError:
-            return []
-    if not candidates:
-        return []
-    removed: list[Path] = []
-    now = time.time()
-    host = socket.gethostname()
-    with _telemetry_lock(root):
-        for path in candidates:
-            shard = load_shard(path)
-            if shard is None:
-                try:
-                    stale = now - path.stat().st_mtime > DEFAULT_TTL_S
-                except OSError:
-                    continue  # already gone: the sibling won the race
-            else:
-                stale = shard.is_stale(now=now, host=host)
-            if not stale:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # already gone: the sibling won the race
-            removed.append(path)
+    removed = _metric_shards(metrics_dir(root)).gc(candidates)
     if removed:
         _log.info(
             "collected stale metric shards",
@@ -600,22 +515,7 @@ def fleet_status(shards: list[Shard], now: float | None = None) -> dict:
 
 def load_trace_spills(root: str | Path) -> list[dict]:
     """Every parseable trace spill under ``root`` (torn files skipped)."""
-    directory = traces_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
-    documents = []
-    for path in paths:
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if isinstance(document, dict) and isinstance(
-            document.get("traceEvents"), list
-        ):
-            documents.append(document)
-    return documents
+    return _trace_spills(traces_dir(root)).live()
 
 
 def merge_traces(documents: list[dict]) -> dict:

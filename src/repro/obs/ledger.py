@@ -29,6 +29,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.obs.prof import UNATTRIBUTED_BUSY, attribution, iter_stacks
+
 __all__ = [
     "LEDGER_SCHEMA",
     "environment_block",
@@ -71,12 +73,6 @@ def environment_block() -> dict:
     }
 
 
-def _profile_stacks(doc: dict):
-    for entry in doc.get("stacks", ()):
-        spans, frames, count, idle = entry
-        yield tuple(spans), tuple(frames), int(count), bool(idle)
-
-
 def profile_digest(doc: dict, top: int = _DIGEST_TOP) -> dict:
     """Compress a profile document into a ledger-sized summary.
 
@@ -87,16 +83,12 @@ def profile_digest(doc: dict, top: int = _DIGEST_TOP) -> dict:
     """
     span_counts: dict[str, int] = {}
     frame_counts: dict[str, int] = {}
-    attributed = idle = untracked = 0
-    for spans, frames, count, is_idle in _profile_stacks(doc):
-        if spans:
-            attributed += count
-        elif is_idle:
-            idle += count
+    stats = attribution(doc)
+    attributed, untracked = stats["attributed"], stats["untracked"]
+    for spans, frames, count, is_idle in iter_stacks(doc):
+        if is_idle and not spans:
             continue  # parked threads carry no perf signal
-        else:
-            untracked += count
-        root = ";".join(spans) if spans else "(untracked)"
+        root = ";".join(spans) if spans else UNATTRIBUTED_BUSY
         span_counts[root] = span_counts.get(root, 0) + count
         if frames:
             leaf = frames[-1]

@@ -37,15 +37,14 @@ is judged on the busy remainder — see :func:`attribution`.
 Any worker answering ``GET /profile?seconds=N`` publishes a request
 window through :func:`request_profile` (concurrent requests join the
 in-flight window), every agent samples for the window and spills a
-per-pid profile document next to the request (same atomic-write +
-TTL-staleness + lock-guarded exactly-once GC lifecycle as the metric
-shards), and the serving worker merges the spills with
+per-pid profile document next to the request (a
+:class:`~repro.service.locking.SpillDir` record with a TTL-only
+staleness policy), and the serving worker merges the spills with
 :func:`collect_fleet_profile`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -77,6 +76,7 @@ __all__ = [
     "collect_fleet_profile",
     "merge_profile_docs",
     "collapsed_stacks",
+    "iter_stacks",
     "span_totals",
     "attribution",
     "validate_profile",
@@ -409,7 +409,8 @@ class Profiler:
 # -- profile documents --------------------------------------------------------
 
 
-def _iter_stacks(doc: dict):
+def iter_stacks(doc: dict):
+    """``(spans, frames, count, idle)`` per entry of a profile document."""
     for entry in doc.get("stacks", ()):
         spans, frames, count, idle = entry
         yield tuple(spans), tuple(frames), int(count), bool(idle)
@@ -429,7 +430,7 @@ def merge_profile_docs(docs: list[dict], request: dict | None = None) -> dict:
     for doc in docs:
         if not isinstance(doc, dict) or doc.get("schema") != PROFILE_SCHEMA:
             continue
-        for spans, frames, count, idle in _iter_stacks(doc):
+        for spans, frames, count, idle in iter_stacks(doc):
             key = (spans, frames, idle)
             counts[key] = counts.get(key, 0) + count
         ticks += int(doc.get("ticks", 0))
@@ -490,7 +491,7 @@ def collapsed_stacks(doc: dict, include_idle: bool = True) -> str:
     frames under the span that owned them.
     """
     lines = []
-    for spans, frames, count, idle in _iter_stacks(doc):
+    for spans, frames, count, idle in iter_stacks(doc):
         if idle and not spans and not include_idle:
             continue
         path = _stack_root(spans, idle) + frames
@@ -502,7 +503,7 @@ def collapsed_stacks(doc: dict, include_idle: bool = True) -> str:
 def span_totals(doc: dict, top: int | None = None) -> list[dict]:
     """Samples per span path (descending) — the profile's hot list."""
     totals: dict[tuple[str, ...], int] = {}
-    for spans, _frames, count, idle in _iter_stacks(doc):
+    for spans, _frames, count, idle in iter_stacks(doc):
         root = _stack_root(spans, idle)
         totals[root] = totals.get(root, 0) + count
     samples = max(1, int(doc.get("samples", 0)))
@@ -528,7 +529,7 @@ def attribution(doc: dict) -> dict:
     statement about where the work went.
     """
     attributed = idle = untracked = 0
-    for spans, _frames, count, is_idle in _iter_stacks(doc):
+    for spans, _frames, count, is_idle in iter_stacks(doc):
         if spans:
             attributed += count
         elif is_idle:
@@ -565,7 +566,7 @@ def validate_profile(
         problems.append("duration_s must be positive")
     total = 0
     try:
-        for _spans, frames, count, _idle in _iter_stacks(doc):
+        for _spans, frames, count, _idle in iter_stacks(doc):
             if count < 1:
                 problems.append(f"non-positive stack count {count}")
             if not frames:
@@ -606,17 +607,30 @@ def profile_request_path(root: str | Path) -> Path:
     return profiles_dir(root) / "request.json"
 
 
-def _load_json(path: Path) -> dict | None:
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError, UnicodeDecodeError):
+def _parse_profile(_path: Path, doc: dict) -> dict | None:
+    if doc.get("schema") != PROFILE_SCHEMA or doc.get("kind") != "cpu-profile":
         return None
-    return record if isinstance(record, dict) else None
+    return doc
+
+
+def _profile_spills(directory: Path):
+    """The spill directory.  The request file in it reads as foreign, so
+    it is reaped like a torn spill once its TTL is long past."""
+    from repro.service.locking import SpillDir
+
+    return SpillDir(
+        directory,
+        directory.parent / "telemetry.lock",
+        ttl_s=DEFAULT_PROFILE_TTL_S,
+        parse=_parse_profile,
+    )
 
 
 def current_request(root: str | Path, now: float | None = None) -> dict | None:
     """The in-flight profile request, or ``None`` when the window closed."""
-    record = _load_json(profile_request_path(root))
+    from repro.service.locking import read_record
+
+    record = read_record(profile_request_path(root))
     if record is None or record.get("kind") != "profile-request":
         return None
     now = time.time() if now is None else now
@@ -638,13 +652,11 @@ def request_profile(
     unchanged so concurrent ``/profile`` calls share one window instead
     of fighting over the per-process profiler.
     """
-    from repro.obs.fleet import _atomic_write_json, _telemetry_lock
-
     seconds = min(MAX_WINDOW_S, max(0.2, float(seconds)))
     interval_ms = min(100.0, max(1.0, float(interval_ms)))
-    path = profile_request_path(root)
+    spills = _profile_spills(profiles_dir(root))
     now = time.time()
-    with _telemetry_lock(root):
+    with spills.lock:
         existing = current_request(root, now=now)
         if existing is not None and (
             float(existing["deadline_s"]) - now >= 0.5 * seconds
@@ -660,47 +672,28 @@ def request_profile(
             "issued_s": round(now, 3),
             "deadline_s": round(now + seconds, 3),
         }
-        _atomic_write_json(path, request)
+        spills.write("request", request)
     return request
 
 
 def spill_profile(root: str | Path, doc: dict) -> Path | None:
     """Atomically write one process's profile document under the store."""
-    from repro.obs.fleet import _atomic_write_json, _safe_instance
-
-    stem = f"{_safe_instance(str(doc.get('instance', 'proc')))}-{doc.get('pid', 0)}.json"
-    path = profiles_dir(root) / stem
+    spills = _profile_spills(profiles_dir(root))
+    stem = f"{doc.get('instance', 'proc')}-{doc.get('pid', 0)}"
     try:
-        _atomic_write_json(path, doc)
+        spills.write(stem, doc)
     except OSError:
         return None
     REGISTRY.counter(
         "repro_profile_windows_total",
         "Profile sampling windows this process has served",
     ).inc()
-    return path
+    return spills.path_of(stem)
 
 
 def load_profile_doc(path: Path) -> dict | None:
     """Parse one profile spill; torn/foreign/request files -> ``None``."""
-    record = _load_json(path)
-    if (
-        record is None
-        or record.get("schema") != PROFILE_SCHEMA
-        or record.get("kind") != "cpu-profile"
-    ):
-        return None
-    return record
-
-
-def _profile_stale(path: Path, doc: dict | None, now: float) -> bool:
-    if doc is None:
-        try:
-            return now - path.stat().st_mtime > DEFAULT_PROFILE_TTL_S
-        except OSError:
-            return False
-    ttl = float(doc.get("ttl_s", DEFAULT_PROFILE_TTL_S))
-    return now - float(doc.get("written_s", 0.0)) > ttl
+    return _profile_spills(path.parent).load(path)
 
 
 def read_profile_docs(
@@ -712,28 +705,11 @@ def read_profile_docs(
     capture is a point-in-time artifact, so (unlike metric shards) a
     dead pid does not retire it early.
     """
-    directory = profiles_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
-    now = time.time()
-    live: list[dict] = []
-    dead: list[Path] = []
-    for path in paths:
-        if path.name == "request.json":
-            continue
-        doc = load_profile_doc(path)
-        if _profile_stale(path, doc, now):
-            dead.append(path)
-            continue
-        if doc is None:
-            continue
-        if request_id is not None and doc.get("request_id") != request_id:
-            continue
-        live.append(doc)
-    if gc and dead:
-        gc_stale_profiles(root, candidates=dead)
+    live = [
+        doc
+        for doc in _profile_spills(profiles_dir(root)).live(gc=gc)
+        if request_id is None or doc.get("request_id") == request_id
+    ]
     live.sort(key=lambda d: (str(d.get("role")), str(d.get("instance"))))
     return live
 
@@ -741,33 +717,8 @@ def read_profile_docs(
 def gc_stale_profiles(
     root: str | Path, candidates: list[Path] | None = None
 ) -> list[Path]:
-    """Remove expired spills under the telemetry lock, exactly once.
-
-    Same protocol as the metric-shard GC: every candidate is re-checked
-    *under the lock* before the unlink, so two concurrent readers cannot
-    both claim a removal.
-    """
-    from repro.obs.fleet import _telemetry_lock
-
-    if candidates is None:
-        try:
-            candidates = sorted(profiles_dir(root).glob("*.json"))
-        except OSError:
-            return []
-        candidates = [p for p in candidates if p.name != "request.json"]
-    if not candidates:
-        return []
-    removed: list[Path] = []
-    now = time.time()
-    with _telemetry_lock(root):
-        for path in candidates:
-            if not _profile_stale(path, load_profile_doc(path), now):
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # already gone: the sibling won the race
-            removed.append(path)
+    """Remove expired spills under the telemetry lock, exactly once."""
+    removed = _profile_spills(profiles_dir(root)).gc(candidates)
     if removed:
         _log.info(
             "collected stale profile spills", extra={"count": len(removed)}

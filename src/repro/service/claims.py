@@ -7,10 +7,11 @@ service workers).  Before running a collection, a worker must hold the
 key's claim:
 
 ``<store root>/claims/<key>.claim``
-    One JSON record — owner token, pid, host, claim time, TTL — created
-    with ``O_CREAT | O_EXCL`` so exactly one process wins.  Losers wait
-    for the claim to clear and then hydrate the winner's result from
-    the store instead of re-running engines.
+    One JSON record — owner token, pid, host, claim time, TTL — written
+    to a temp file and hard-linked into place, so exactly one process
+    wins and the record is complete from its first instant.  Losers
+    wait for the claim to clear and then hydrate the winner's result
+    from the store instead of re-running engines.
 
 ``<store root>/claims/runs.log``
     Append-only journal of *actual* (non-hydrated) collection runs, one
@@ -20,11 +21,14 @@ key's claim:
     benchmark asserts the log stays duplicate-free under many-client,
     many-worker load.
 
-Staleness: a claim whose TTL has expired, or whose owning pid is dead
-on this host, is *broken* (removed under the registry's file lock) so a
-crashed claimant never wedges the fleet.  Live claimants running long
-collections call :meth:`ClaimRegistry.refresh` from their progress
-callback to push the TTL window forward.
+Staleness: the claims directory is a pid-bound, TTL-bound
+:class:`~repro.service.locking.SpillDir`.  A claim whose TTL has
+expired, or whose owning pid is dead on this host, is *broken* (removed
+under the registry's file lock) so a crashed claimant never wedges the
+fleet; an unreadable claim counts as held until it is older than the
+TTL, then it is broken too.  Live claimants running long collections
+call :meth:`ClaimRegistry.refresh` from their progress callback to push
+the TTL window forward.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from pathlib import Path
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.service.locking import FileLock
+from repro.service.locking import SpillDir
 
 __all__ = ["Claim", "ClaimRegistry"]
 
@@ -78,19 +82,6 @@ class Claim:
     acquired_s: float
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness of a pid on this host."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return True
-    return True
-
-
 class ClaimRegistry:
     """Claim records + run log under one shared store root.
 
@@ -106,46 +97,40 @@ class ClaimRegistry:
         self.ttl_s = float(ttl_s)
         self._dir = self.root / "claims"
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._lock = FileLock(self._dir / "claims.lock")
+        self._claims = SpillDir(
+            self._dir,
+            self._dir / "claims.lock",
+            ttl_s=self.ttl_s,
+            pid_bound=True,
+            clock="claimed_s",
+            suffix=".claim",
+        )
+        self._lock = self._claims.lock
         self._runs_log = self._dir / "runs.log"
         self._host = socket.gethostname()
         self._thread_lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
-        return self._dir / f"{key}.claim"
+        return self._claims.path_of(key)
 
-    def _load(self, path: Path) -> dict | None:
-        try:
-            record = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-        return record if isinstance(record, dict) else None
-
-    def _is_stale(self, record: dict) -> bool:
-        ttl = float(record.get("ttl_s", self.ttl_s))
-        age = time.time() - float(record.get("claimed_s", 0.0))
-        if age > ttl:
-            return True
-        pid = record.get("pid")
-        if (
-            record.get("host") == self._host
-            and isinstance(pid, int)
-            and not _pid_alive(pid)
-        ):
-            return True
-        return False
+    def _break_stale(self, key: str) -> bool:
+        """Remove ``key``'s claim if stale (exactly once across processes)."""
+        broken = self._claims.gc([self._path(key)])
+        if broken:
+            _CLAIMS_BROKEN.inc()
+            _log.warning("broke stale claim", extra={"key": key})
+        return bool(broken)
 
     # -- claiming -------------------------------------------------------------
 
     def acquire(self, key: str) -> Claim | None:
         """Try to claim ``key``; ``None`` means a live sibling holds it.
 
-        A stale claim (expired or dead owner) is broken and the acquire
-        retried, so one crashed worker costs one TTL at most — not a
-        permanently wedged key.
+        A stale claim (expired, dead owner, or unreadable past the TTL)
+        is broken and the acquire retried, so one crashed worker costs
+        one TTL at most — not a permanently wedged key.
         """
         token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        path = self._path(key)
         for _attempt in range(8):
             now = time.time()
             record = {
@@ -156,59 +141,36 @@ class ClaimRegistry:
                 "claimed_s": now,
                 "ttl_s": self.ttl_s,
             }
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                holder = self._load(path)
-                if holder is not None and not self._is_stale(holder):
-                    return None
-                with self._lock:
-                    # Re-check under the lock: only one process breaks it.
-                    holder = self._load(path)
-                    if holder is None:
-                        continue  # released meanwhile; retry the O_EXCL
-                    if not self._is_stale(holder):
-                        return None
-                    path.unlink(missing_ok=True)
-                    _CLAIMS_BROKEN.inc()
-                    _log.warning(
-                        "broke stale claim",
-                        extra={"key": key, "stale_pid": holder.get("pid")},
-                    )
-                continue
-            try:
-                os.write(fd, json.dumps(record, sort_keys=True).encode())
-            finally:
-                os.close(fd)
-            _CLAIMS_ACQUIRED.inc()
-            return Claim(key=key, token=token, path=path, acquired_s=now)
+            if self._claims.write(key, record, exclusive=True):
+                _CLAIMS_ACQUIRED.inc()
+                return Claim(
+                    key=key, token=token, path=self._path(key), acquired_s=now
+                )
+            if not self._break_stale(key) and self._path(key).exists():
+                return None  # held by a live (or still-young torn) claim
         return None  # pragma: no cover - pathological churn
 
     def refresh(self, claim: Claim) -> None:
         """Push the claim's TTL window forward (long collections call
         this from their progress feed)."""
         with self._lock:
-            record = self._load(claim.path)
+            record = self._claims.load(claim.path)
             if record is None or record.get("token") != claim.token:
                 return  # broken by a sibling; nothing left to refresh
             record["claimed_s"] = time.time()
-            tmp = claim.path.with_suffix(".claim.tmp")
-            tmp.write_text(json.dumps(record, sort_keys=True))
-            os.replace(tmp, claim.path)
+            self._claims.write(claim.key, record)
 
     def release(self, claim: Claim) -> None:
         """Drop the claim if we still own it (token-verified)."""
         with self._lock:
-            record = self._load(claim.path)
+            record = self._claims.load(claim.path)
             if record is not None and record.get("token") == claim.token:
                 claim.path.unlink(missing_ok=True)
 
     def holder(self, key: str) -> dict | None:
         """The live claim record for ``key``, or ``None``."""
-        record = self._load(self._path(key))
-        if record is None or self._is_stale(record):
-            return None
-        return record
+        live = self._claims.live([self._path(key)], gc=False)
+        return live[0] if live else None
 
     def wait(
         self,
@@ -222,20 +184,12 @@ class ClaimRegistry:
 
         A claim that goes stale while we wait is broken here — the
         waiter is exactly the process that should take over a crashed
-        claimant's work.
+        claimant's work.  An unreadable claim is held until it expires.
         """
         _CLAIMS_WAITED.inc()
         deadline = time.monotonic() + timeout
         while True:
-            record = self._load(self._path(key))
-            if record is None:
-                return True
-            if self._is_stale(record):
-                with self._lock:
-                    again = self._load(self._path(key))
-                    if again is not None and self._is_stale(again):
-                        self._path(key).unlink(missing_ok=True)
-                        _CLAIMS_BROKEN.inc()
+            if self._break_stale(key) or not self._path(key).exists():
                 return True
             if cancel is not None and cancel.is_set():
                 return False

@@ -22,8 +22,10 @@ one starts.
 Cross-process behaviour (the pre-fork service plane): job ids embed a
 per-manager instance token so ids never collide across workers; every
 lifecycle event persists the job's snapshot to ``<store root>/jobs/``
-(atomic writes), so any sibling worker can serve ``/jobs/<id>`` and
-replay ``/jobs/<id>/events`` for a job it does not own; and before a
+(a TTL-bound :class:`~repro.service.locking.SpillDir`: snapshots not
+rewritten for ``claim_ttl_s`` are collected with their cancel marker),
+so any sibling worker can serve ``/jobs/<id>`` and replay
+``/jobs/<id>/events`` for a job it does not own; and before a
 job *collects* it must win the key's cross-process claim
 (:mod:`repro.service.claims`) — losers wait for the winner and hydrate
 its stored result, so two workers never run the same characterization.
@@ -32,7 +34,6 @@ its stored result, so two workers never run the same characterization.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import threading
 import time
@@ -52,7 +53,8 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, span as obs_span, tracing
 from repro.service.claims import ClaimRegistry
-from repro.service.store import ResultStore, _atomic_write
+from repro.service.locking import SpillDir
+from repro.service.store import ResultStore
 from repro.workloads.base import Workload
 from repro.workloads.suite import workload_by_name
 
@@ -219,7 +221,8 @@ class JobManager:
             one rooted at the store (pass ``claims=False``-like behavior
             by sharing a registry explicitly in tests).
         claim_ttl_s: TTL of collection claims (crashed claimants are
-            taken over after this long without a refresh).
+            taken over after this long without a refresh), and of shared
+            job snapshots (collected this long after their last write).
     """
 
     def __init__(
@@ -249,6 +252,14 @@ class JobManager:
         #: store can serve (and follow) this manager's jobs from here.
         self.shared_dir = Path(store.root) / "jobs"
         self.shared_dir.mkdir(parents=True, exist_ok=True)
+        self._snapshots = SpillDir(
+            self.shared_dir,
+            self.shared_dir / "jobs.lock",
+            ttl_s=claim_ttl_s,
+            clock=None,
+            parse=lambda _path, snapshot: snapshot if "id" in snapshot else None,
+            companions=(".cancel",),
+        )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, Job] = {}
@@ -357,9 +368,6 @@ class JobManager:
 
     # -- shared snapshots (cross-worker job visibility) ------------------------
 
-    def _snapshot_path(self, job_id: str) -> Path:
-        return self.shared_dir / f"{job_id}.json"
-
     def _cancel_marker(self, job_id: str) -> Path:
         return self.shared_dir / f"{job_id}.cancel"
 
@@ -367,10 +375,7 @@ class JobManager:
         """Write the job's snapshot for sibling workers (atomic), and
         honor any cancel marker a sibling left for it."""
         try:
-            _atomic_write(
-                self._snapshot_path(job.id),
-                json.dumps(job.snapshot(), sort_keys=True).encode("utf-8"),
-            )
+            self._snapshots.write(job.id, job.snapshot())
         except OSError:  # pragma: no cover - snapshot loss is non-fatal
             _log.warning("failed to persist job snapshot", extra={"job": job.id})
         if job.state in _LIVE and self._cancel_marker(job.id).exists():
@@ -386,29 +391,17 @@ class JobManager:
             job = self._jobs.get(job_id)
         if job is not None:
             return job.snapshot()
-        try:
-            return json.loads(self._snapshot_path(job_id).read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
+        return self._snapshots.load(self._snapshots.path_of(job_id))
 
     def shared_jobs(self) -> list[dict]:
-        """Every snapshot in the shared directory (all workers' jobs),
-        with this manager's in-memory state overriding its own files."""
-        snapshots: dict[str, dict] = {}
-        try:
-            paths = sorted(self.shared_dir.glob("job-*.json"))
-        except OSError:  # pragma: no cover - defensive
-            paths = []
-        for path in paths:
-            try:
-                snapshot = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                continue  # torn write or vanished file: skip, not fail
-            if isinstance(snapshot, dict) and "id" in snapshot:
-                snapshots[snapshot["id"]] = snapshot
+        """Every live snapshot in the shared directory (all workers'
+        jobs), with this manager's in-memory state overriding its own
+        files; expired snapshots are collected on the way."""
+        snapshots = {snapshot["id"]: snapshot for snapshot in self._snapshots.live()}
         with self._lock:
             for job in self._jobs.values():
-                snapshots[job.id] = job.snapshot()
+                if job.id in snapshots or job.state in _LIVE:
+                    snapshots[job.id] = job.snapshot()
         ordered = sorted(
             snapshots.values(), key=lambda s: (s.get("created_s", 0.0), s["id"])
         )

@@ -44,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -52,7 +51,7 @@ import numpy as np
 
 from repro.cluster.testbed import WorkloadCharacterization
 from repro.errors import StoreError
-from repro.service.locking import FileLock
+from repro.service.locking import FileLock, atomic_write
 from repro.obs.flight import DEFAULT_CAPACITY
 from repro.obs.metrics import REGISTRY
 from repro.obs.timeline import TimelineSeries
@@ -130,20 +129,6 @@ def _canonical_dumps(payload: dict) -> bytes:
 
 def _content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class ResultStore:
@@ -237,7 +222,7 @@ class ResultStore:
         return index
 
     def _write_index(self, index: dict) -> None:
-        _atomic_write(self._index_path, json.dumps(index, sort_keys=True).encode())
+        atomic_write(self._index_path, json.dumps(index, sort_keys=True).encode())
         with self._lock:
             self._cached = (self._stat_key(), index)
         entries = index["entries"]
@@ -264,7 +249,7 @@ class ResultStore:
         digest = _content_hash(data)
         _STORE_PUTS.inc()
         with self._index_lock:
-            _atomic_write(self._object_path(key), data)
+            atomic_write(self._object_path(key), data)
             index = self._read_index()
             index["clock"] += 1
             index["entries"][key] = {
@@ -294,7 +279,7 @@ class ResultStore:
         data = _canonical_dumps(stamped)
         digest = _content_hash(data)
         _STORE_PUTS.inc()
-        _atomic_write(self._object_path(key), data)
+        atomic_write(self._object_path(key), data)
         return digest, len(data)
 
     def adopt(self, key: str, digest: str, nbytes: int) -> None:
