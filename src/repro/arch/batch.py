@@ -1,15 +1,14 @@
 """Batched window-level simulation: compact event streams per sample.
 
-The reference engine (:meth:`~repro.arch.core_model.CoreModel.run_sample`)
-walks every synthesised operation through a Python dispatch loop.  Most
-ops never touch microarchitectural state, though: ALU/FP/other ops only
-advance the tick, branches only train the (self-contained) predictor, and
-the majority of frontend fetches re-probe the 64-byte line the previous
-fetch just made MRU — a guaranteed hit that changes nothing but four
-counters.  This module exploits that: it synthesises *all* windows of a
-workload (warm-up and measured samples for every core, every phase) in
-one up-front vectorised pass over preallocated buffers, then compacts
-each sample down to the events the simulation actually has to execute.
+Simulating every synthesised operation through a Python dispatch loop
+would waste most of its time: ALU/FP/other ops only advance the tick,
+branches only train the (self-contained) predictor, and the majority of
+frontend fetches re-probe the 64-byte line the previous fetch just made
+MRU — a guaranteed hit that changes nothing but four counters.  This
+module exploits that: it synthesises *all* windows of a workload
+(warm-up and measured samples for every core, every phase) in one
+up-front vectorised pass over preallocated buffers, then compacts each
+sample down to the events the simulation actually has to execute.
 
 A :class:`CompactSample` carries, per sample:
 
@@ -24,15 +23,16 @@ A :class:`CompactSample` carries, per sample:
   hierarchy);
 * the vectorised per-class tallies the synthesis already computed.
 
-Bit-identity with the per-op reference loop is an invariant, not an
-aspiration: the simulation consumes no randomness (all draws happen at
-synthesis time, in an unchanged order), elided fetches are provably
-state-preserving (the line and its page are MRU in the L1I/ITLB and
-nothing touches either between consecutive fetches), and the MLP
-integral is computed post hoc from the recorded fill deadlines via the
-closed form of the reference loop's occupancy count.  The equivalence is
-pinned by tests (``tests/arch/test_batch_equivalence.py``) and by the
-``bench_speed --check`` gate.
+Bit-identity with a per-op loop over the full stream is an invariant,
+not an aspiration: the simulation consumes no randomness (all draws
+happen at synthesis time, in an unchanged order), elided fetches are
+provably state-preserving (the line and its page are MRU in the
+L1I/ITLB and nothing touches either between consecutive fetches), and
+the MLP integral is computed post hoc from the recorded fill deadlines
+via the closed form of the per-op loop's occupancy count.  That per-op
+loop is kept as a test oracle (``tests/arch/reference_engine.py``); the
+equivalence is pinned by ``tests/arch/test_batch_equivalence.py`` and by
+the ``bench_speed --check`` gate.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "PhasePlan",
     "synthesize_compact",
     "plan_workload",
+    "warmup_ops",
     "mlp_from_deadlines",
 ]
 
@@ -134,8 +135,9 @@ def synthesize_compact(
     """Synthesise one sample and compact it to its interesting events.
 
     Consumes ``rng`` exactly like :func:`~repro.arch.trace.
-    synthesize_stream` (the compaction is pure numpy post-processing), so
-    hoisting and batching compact synthesis never changes what is drawn.
+    synthesize_columns` (the compaction is pure numpy post-processing),
+    so hoisting and batching compact synthesis never changes what is
+    drawn.
     """
     cols = synthesize_columns(profile, n_ops, core_id, rng, scratch=scratch)
     codes = cols.codes
@@ -180,6 +182,11 @@ def synthesize_compact(
     )
 
 
+def warmup_ops(ops_per_core: int, warmup_fraction: float) -> int:
+    """Ops in each core's ramp-up sample (at least one)."""
+    return max(1, int(ops_per_core * warmup_fraction))
+
+
 def plan_workload(
     profiles: list[PhaseProfile],
     rng: np.random.Generator,
@@ -200,11 +207,11 @@ def plan_workload(
     a whole suite — reuses one set of preallocated buffers.
     """
     scratch = scratch if scratch is not None else SynthScratch()
-    warmup_ops = max(1, int(ops_per_core * warmup_fraction))
+    n_warmup = warmup_ops(ops_per_core, warmup_fraction)
     plan: list[PhasePlan] = []
     for profile in profiles:
         warmups = tuple(
-            synthesize_compact(profile, warmup_ops, core_id, rng, scratch)
+            synthesize_compact(profile, n_warmup, core_id, rng, scratch)
             for core_id in active_core_ids
         )
         measured = tuple(
@@ -220,7 +227,8 @@ def mlp_from_deadlines(
 ) -> tuple[int, int]:
     """The MLP integrals, computed post hoc from recorded fills.
 
-    The reference loop pushes a service deadline per off-core fill and,
+    The per-op reference loop (``tests/arch/reference_engine.py``)
+    pushes a service deadline per off-core fill and,
     each tick, pops expired entries then counts the survivors.  An entry
     pushed at tick ``t`` with deadline ``d`` is therefore outstanding at
     exactly the ticks ``u`` with ``t < u < d`` (and ``u < n_ops``), so

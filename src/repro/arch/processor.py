@@ -20,12 +20,12 @@ Simulation protocol (mirroring Section IV-C of the paper):
 from __future__ import annotations
 
 import gc
-
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.arch.batch import PhasePlan, plan_workload
+from repro.arch.batch import PhasePlan, plan_workload, warmup_ops
 from repro.arch.cache import CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory
 from repro.arch.core_model import CoreModel, wrong_path_branches
@@ -67,8 +67,6 @@ def _merge_counts(total: SampleCounts, part: SampleCounts) -> None:
 
 def _union_footprint(profiles: list[PhaseProfile]) -> PhaseProfile:
     """A profile whose footprints cover every phase (for one pre-warm)."""
-    from dataclasses import replace
-
     base = max(profiles, key=lambda p: p.data_working_set)
     return replace(
         base,
@@ -77,6 +75,52 @@ def _union_footprint(profiles: list[PhaseProfile]) -> PhaseProfile:
         shared_working_set=max(p.shared_working_set for p in profiles),
         shared_fraction=max(p.shared_fraction for p in profiles),
     )
+
+
+def _check_plan(
+    plan: PhasePlan,
+    profile: PhaseProfile,
+    active_cores: int,
+    ops_per_core: int,
+    warmup_fraction: float,
+) -> None:
+    """Reject a plan synthesised for other arguments than the run's."""
+    if plan.profile != profile:
+        raise ConfigurationError(
+            f"plan was built for phase {plan.profile.name!r}, "
+            f"not {profile.name!r}"
+        )
+    if len(plan.warmups) != active_cores or len(plan.measured) != active_cores:
+        raise ConfigurationError(
+            f"plan has {len(plan.warmups)} warm-up and {len(plan.measured)} "
+            f"measured samples for active_cores={active_cores}"
+        )
+    n_warmup = warmup_ops(ops_per_core, warmup_fraction)
+    if any(s.n_ops != n_warmup for s in plan.warmups) or any(
+        s.n_ops != ops_per_core for s in plan.measured
+    ):
+        raise ConfigurationError(
+            f"plan samples were not built for ops_per_core={ops_per_core}, "
+            f"warmup_fraction={warmup_fraction}"
+        )
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for the duration.
+
+    The hot loops allocate steadily (directory entries, fill tuples) but
+    almost nothing cyclic; generational GC passes in the middle of a
+    workload are pure overhead.  The caller's setting is restored after.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def events_from_sample(
@@ -182,10 +226,12 @@ class Processor:
         ops_per_core: int = 8000,
         warmup_fraction: float = 0.3,
         prewarm: bool = True,
-        engine: str = "batched",
         plan: PhasePlan | None = None,
     ) -> dict[str, float]:
         """Simulate one phase and return scaled raw events.
+
+        Each sample is compacted to its interesting events first and run
+        through :meth:`CoreModel.run_compact` (:mod:`repro.arch.batch`).
 
         Args:
             profile: The phase to simulate.
@@ -198,56 +244,35 @@ class Processor:
             prewarm: Install the steady-state resident set first.
                 ``run_workload`` pre-warms once with the union footprint
                 and disables the per-phase pass.
-            engine: ``"batched"`` compacts each sample to its interesting
-                events first (:mod:`repro.arch.batch`); ``"windowed"`` is
-                the per-op reference loop.  Bit-identical by contract.
-            plan: Pre-synthesised samples for this phase (batched engine
-                only); when given, ``rng`` is not consumed — the caller
-                already drew the phase's randomness into the plan.
+            plan: Pre-synthesised samples for this phase; when given,
+                ``rng`` is not consumed — the caller already drew the
+                phase's randomness into the plan.
 
         Raises:
-            ConfigurationError: If ``active_cores`` exceeds the socket.
+            ConfigurationError: If ``active_cores`` exceeds the socket,
+                or ``plan`` was built for another profile, core count or
+                sample size.
         """
-        if not 1 <= active_cores <= self.config.cores_per_socket:
-            raise ConfigurationError(
-                f"active_cores={active_cores} must be in "
-                f"[1, {self.config.cores_per_socket}]"
-            )
-        if ops_per_core <= 0:
-            raise ConfigurationError("ops_per_core must be positive")
-        if engine not in ("batched", "windowed"):
-            raise ConfigurationError(f"unknown simulation engine: {engine!r}")
-
-        total = SampleCounts()
+        self._check_sampling(active_cores, ops_per_core)
         cores = self.cores[:active_cores]
-        if engine == "batched":
-            if plan is None:
-                plan = plan_workload(
-                    [profile],
-                    rng,
-                    [core.core_id for core in cores],
-                    ops_per_core,
-                    warmup_fraction,
-                )[0]
-            for core, warmup in zip(cores, plan.warmups):
-                if prewarm:
-                    core.prewarm(profile)  # steady-state resident set
-                core.run_compact(warmup, discard=True)  # ramp-up, discarded
-            for core, measured in zip(cores, plan.measured):
-                _merge_counts(total, core.run_compact(measured))
+        if plan is None:
+            plan = plan_workload(
+                [profile],
+                rng,
+                [core.core_id for core in cores],
+                ops_per_core,
+                warmup_fraction,
+            )[0]
         else:
-            warmup_ops = max(1, int(ops_per_core * warmup_fraction))
-            for core in cores:
-                if prewarm:
-                    core.prewarm(profile)  # steady-state resident set
-                core.run_sample(profile, warmup_ops, rng)  # ramp-up, discarded
-            for core in cores:
-                part = core.run_sample(profile, ops_per_core, rng)
-                _merge_counts(total, part)
-
-        accounting = self._cycle_model.account(total, profile.uops_per_instruction)
-        scale = profile.instructions / max(1, total.instructions)
-        return events_from_sample(total, accounting, scale)
+            _check_plan(plan, profile, active_cores, ops_per_core, warmup_fraction)
+        for core, warmup in zip(cores, plan.warmups):
+            if prewarm:
+                core.prewarm(profile)  # steady-state resident set
+            core.run_compact(warmup, discard=True)  # ramp-up, discarded
+        total = SampleCounts()
+        for core, measured in zip(cores, plan.measured):
+            _merge_counts(total, core.run_compact(measured))
+        return self._phase_events(profile, total)
 
     def run_workload(
         self,
@@ -256,45 +281,31 @@ class Processor:
         active_cores: int = 4,
         ops_per_core: int = 8000,
         warmup_fraction: float = 0.3,
-        engine: str = "batched",
         plan: list[PhasePlan] | None = None,
     ) -> dict[str, float]:
         """Simulate a workload's phases back to back and sum raw events.
 
         Private core state is flushed before the first phase (a fresh
         process); it persists *across* phases of the same workload, as it
-        would on real hardware.
+        would on real hardware.  Every window's synthesis is hoisted ahead
+        of all simulation (simulation consumes no randomness, so the draw
+        order — and hence the result — is unchanged).
 
         Args:
-            engine: See :meth:`run_phase`.  With the batched engine every
-                window's synthesis is hoisted ahead of all simulation
-                (simulation consumes no randomness, so the draw order —
-                and hence the result — is unchanged).
             plan: Pre-synthesised plan for all phases, one
-                :class:`~repro.arch.batch.PhasePlan` per profile in order
-                (batched engine only).  Callers batching across slaves or
-                workloads pass plans built from each slave's own rng with
-                a shared scratch; ``rng`` is then not consumed here.
+                :class:`~repro.arch.batch.PhasePlan` per profile in order.
+                Callers batching across slaves or workloads pass plans
+                built from each slave's own rng with a shared scratch;
+                ``rng`` is then not consumed here.
         """
         if not profiles:
             raise ConfigurationError("run_workload needs at least one phase profile")
         if plan is not None and len(plan) != len(profiles):
             raise ConfigurationError("plan length must match profiles")
-        # The hot loops allocate steadily (directory entries, fill
-        # tuples) but almost nothing cyclic; generational GC passes in
-        # the middle of a workload are pure overhead, so pause collection
-        # for the duration and restore the caller's setting after.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with _gc_paused():
             return self._run_workload_inner(
-                profiles, rng, active_cores, ops_per_core,
-                warmup_fraction, engine, plan,
+                profiles, rng, active_cores, ops_per_core, warmup_fraction, plan
             )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _run_workload_inner(
         self,
@@ -303,9 +314,58 @@ class Processor:
         active_cores: int,
         ops_per_core: int,
         warmup_fraction: float,
-        engine: str,
         plan: list[PhasePlan] | None,
     ) -> dict[str, float]:
+        self._reset_and_prewarm(profiles, active_cores)
+        if plan is None:
+            plan = plan_workload(
+                profiles,
+                rng,
+                [core.core_id for core in self.cores[:active_cores]],
+                ops_per_core,
+                warmup_fraction,
+            )
+        sampler = current_timeline()
+        totals: dict[str, float] = {}
+        for window, profile in enumerate(profiles):
+            events = self.run_phase(
+                profile,
+                rng,
+                active_cores=active_cores,
+                ops_per_core=ops_per_core,
+                warmup_fraction=warmup_fraction,
+                prewarm=False,
+                plan=plan[window],
+            )
+            if sampler is not None:
+                # Observational: the sampler copies `events` and derives
+                # window metrics from the copy — the measurement is done.
+                sampler.sim_window(
+                    window, profile.name, profile.instructions, events
+                )
+            for name, value in events.items():
+                totals[name] = totals.get(name, 0.0) + value
+        return totals
+
+    def _check_sampling(self, active_cores: int, ops_per_core: int) -> None:
+        if not 1 <= active_cores <= self.config.cores_per_socket:
+            raise ConfigurationError(
+                f"active_cores={active_cores} must be in "
+                f"[1, {self.config.cores_per_socket}]"
+            )
+        if ops_per_core <= 0:
+            raise ConfigurationError("ops_per_core must be positive")
+
+    def _reset_and_prewarm(
+        self, profiles: list[PhaseProfile], active_cores: int
+    ) -> None:
+        """Flush the machine, then pre-warm once with the union footprint.
+
+        The L3 is divided between the active cores' private warm tiers,
+        after reserving room for the code head and the shared warm tier,
+        so pre-warming cannot thrash itself; the first core also installs
+        the node-shared regions.
+        """
         self.reset()
         union = _union_footprint(profiles)
         l3_lines = self.config.l3_size // 64
@@ -324,36 +384,14 @@ class Processor:
                 private_budget_lines=private_budget,
                 install_shared_and_code=(index == 0),
             )
-        if engine == "batched" and plan is None:
-            plan = plan_workload(
-                profiles,
-                rng,
-                [core.core_id for core in self.cores[:active_cores]],
-                ops_per_core,
-                warmup_fraction,
-            )
-        sampler = current_timeline()
-        totals: dict[str, float] = {}
-        for window, profile in enumerate(profiles):
-            events = self.run_phase(
-                profile,
-                rng,
-                active_cores=active_cores,
-                ops_per_core=ops_per_core,
-                warmup_fraction=warmup_fraction,
-                prewarm=False,
-                engine=engine,
-                plan=plan[window] if plan is not None else None,
-            )
-            if sampler is not None:
-                # Observational: the sampler copies `events` and derives
-                # window metrics from the copy — the measurement is done.
-                sampler.sim_window(
-                    window, profile.name, profile.instructions, events
-                )
-            for name, value in events.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
+
+    def _phase_events(
+        self, profile: PhaseProfile, total: SampleCounts
+    ) -> dict[str, float]:
+        """Cycle-account one phase's merged counters and scale them."""
+        accounting = self._cycle_model.account(total, profile.uops_per_instruction)
+        scale = profile.instructions / max(1, total.instructions)
+        return events_from_sample(total, accounting, scale)
 
     def reset(self) -> None:
         """Flush all cores, the L3 and the coherence directory."""

@@ -1,11 +1,12 @@
 """Bit-identity of the batched window engine vs the per-op reference.
 
-The batched engine (``engine="batched"``, :mod:`repro.arch.batch`) must
-be indistinguishable from the windowed per-op loop: identical raw-event
-totals *and* an identical final RNG state, for any seed, any window
-count, under fault plans and with timeline sampling on.  These tests pin
-that invariant; the ``bench_speed --check`` gate re-verifies it on every
-CI run.
+The batched engine (:mod:`repro.arch.batch` feeding
+``CoreModel.run_compact``) must be indistinguishable from the per-op
+reference oracle in :mod:`tests.arch.reference_engine`: identical
+raw-event totals *and* an identical final RNG state, for any seed, any
+window count, under fault plans and with timeline sampling on.  These
+tests pin that invariant; the ``bench_speed --check`` gate re-verifies it
+on every CI run.
 """
 
 import numpy as np
@@ -23,6 +24,13 @@ from repro.obs.timeline import TimelineConfig
 from repro.stacks.instrument import profiles_from_trace
 from repro.workloads.base import RunContext
 from repro.workloads.suite import SUITE
+from tests.arch import reference_engine
+
+#: The two engines, each called as ``run(processor, profiles, rng, **kw)``.
+ENGINES = {
+    "reference": reference_engine.run_workload,
+    "batched": Processor.run_workload,
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +41,15 @@ def profiles():
     return profiles_from_trace(run.trace, workload.hints, num_workers=4)
 
 
-def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500,
-               plan=None):
-    """One fresh-processor run_workload; returns (events, final rng state)."""
-    processor = Processor()
+def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500):
+    """One fresh-processor workload run; returns (events, final rng state)."""
     rng = np.random.default_rng(seed)
-    events = processor.run_workload(
+    events = ENGINES[engine](
+        Processor(),
         profiles,
         rng,
         active_cores=active_cores,
         ops_per_core=ops_per_core,
-        engine=engine,
-        plan=plan,
     )
     return events, rng.bit_generator.state
 
@@ -53,31 +58,29 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7, 1234, 2**31])
     def test_bit_identical_across_seeds(self, profiles, seed):
         """Same events, same RNG state — per seed, not just on average."""
-        windowed, w_state = run_engine(profiles, "windowed", seed)
+        reference, r_state = run_engine(profiles, "reference", seed)
         batched, b_state = run_engine(profiles, "batched", seed)
-        assert batched == windowed
-        assert b_state == w_state
+        assert batched == reference
+        assert b_state == r_state
 
     def test_single_window(self, profiles):
         """The 1-window edge: no cross-phase state to hide behind."""
-        windowed, w_state = run_engine(profiles[:1], "windowed", 99)
+        reference, r_state = run_engine(profiles[:1], "reference", 99)
         batched, b_state = run_engine(profiles[:1], "batched", 99)
-        assert batched == windowed
-        assert b_state == w_state
+        assert batched == reference
+        assert b_state == r_state
 
     def test_zero_windows_rejected_by_both_engines(self):
         """The 0-window edge is a loud error on both paths, not a skew."""
-        for engine in ("windowed", "batched"):
+        for run in ENGINES.values():
             with pytest.raises(ConfigurationError):
-                Processor().run_workload(
-                    [], np.random.default_rng(0), engine=engine
-                )
+                run(Processor(), [], np.random.default_rng(0))
 
     def test_externally_built_plan_is_equivalent(self, profiles):
         """A plan hoisted by the caller (shared scratch, rng pre-drawn)
         must equal both the internal batched path and the reference —
         this is the contract cross-slave batching rests on."""
-        windowed, w_state = run_engine(profiles, "windowed", 7)
+        reference, r_state = run_engine(profiles, "reference", 7)
 
         rng = np.random.default_rng(7)
         plan = plan_workload(
@@ -87,8 +90,8 @@ class TestEngineEquivalence:
         events = processor.run_workload(
             profiles, rng, active_cores=2, ops_per_core=1500, plan=plan
         )
-        assert events == windowed
-        assert rng.bit_generator.state == w_state
+        assert events == reference
+        assert rng.bit_generator.state == r_state
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -101,16 +104,16 @@ class TestEngineEquivalence:
 
         ``ops=1`` exercises the tiny-sample edge (warm-up clamps to one
         op; a single event per sample)."""
-        windowed, w_state = run_engine(
-            profiles[:2], "windowed", seed,
+        reference, r_state = run_engine(
+            profiles[:2], "reference", seed,
             active_cores=cores, ops_per_core=ops,
         )
         batched, b_state = run_engine(
             profiles[:2], "batched", seed,
             active_cores=cores, ops_per_core=ops,
         )
-        assert batched == windowed
-        assert b_state == w_state
+        assert batched == reference
+        assert b_state == r_state
 
 
 class TestEquivalenceUnderObservation:
@@ -134,29 +137,26 @@ class TestEquivalenceUnderObservation:
     def test_batched_collection_matches_windowed(self, monkeypatch):
         batched = self._characterize()
 
-        original = Processor.run_workload
-
-        def force_windowed(self, profiles, rng, **kwargs):
+        def force_reference(self, profiles, rng, **kwargs):
             kwargs.pop("plan", None)
-            kwargs["engine"] = "windowed"
-            return original(self, profiles, rng, **kwargs)
+            return reference_engine.run_workload(self, profiles, rng, **kwargs)
 
         with monkeypatch.context() as patch:
             # The testbed pre-draws each slave's synthesis into a plan;
-            # the windowed reference must receive the rng *unconsumed*
-            # and draw per window itself, so stub the pre-planning out.
+            # the reference must receive the rng *unconsumed* and draw
+            # per window itself, so stub the pre-planning out.
             import repro.cluster.testbed as testbed_mod
 
             patch.setattr(
                 testbed_mod, "plan_workload", lambda *args, **kwargs: None
             )
-            windowed = self._characterize(force_windowed, patch)
+            reference = self._characterize(force_reference, patch)
 
         # Metrics, per-slave detail and fault accounting all agree; the
         # timeline reconciliation invariant already ran inside both
         # characterize_workload calls.
-        assert batched.metrics == windowed.metrics
-        assert batched.per_slave == windowed.per_slave
-        assert batched.faults == windowed.faults
+        assert batched.metrics == reference.metrics
+        assert batched.per_slave == reference.per_slave
+        assert batched.faults == reference.faults
         assert batched.timeline is not None
-        assert windowed.timeline is not None
+        assert reference.timeline is not None

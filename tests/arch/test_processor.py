@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.arch.batch import plan_workload
 from repro.arch.processor import Processor, ProcessorConfig, events_from_sample
 from repro.arch.pipeline import CycleModel, SampleCounts
 from repro.arch.trace import InstructionMix, PhaseProfile
@@ -100,6 +101,60 @@ class TestRunWorkload:
         processor.reset()
         assert processor.l3.resident_lines == 0
         assert processor.directory.tracked_lines == 0
+
+
+class TestPlanMismatch:
+    """A pre-synthesised plan must match the run it is handed to."""
+
+    def plan(self, p, cores=2, ops=1500, warmup_fraction=0.3):
+        return plan_workload(
+            [p], np.random.default_rng(11), list(range(cores)), ops,
+            warmup_fraction,
+        )
+
+    def test_core_count_mismatch_raises(self):
+        p = profile()
+        with pytest.raises(ConfigurationError):
+            Processor().run_workload(
+                [p], np.random.default_rng(12), active_cores=3,
+                ops_per_core=4000, plan=self.plan(p),
+            )
+
+    def test_measured_sample_size_mismatch_raises(self):
+        p = profile()
+        with pytest.raises(ConfigurationError):
+            Processor().run_workload(
+                [p], np.random.default_rng(12), active_cores=2,
+                ops_per_core=4000, plan=self.plan(p),
+            )
+
+    def test_warmup_sample_size_mismatch_raises(self):
+        p = profile()
+        with pytest.raises(ConfigurationError):
+            Processor().run_phase(
+                p, np.random.default_rng(12), active_cores=2,
+                ops_per_core=1500, warmup_fraction=0.5,
+                plan=self.plan(p)[0],
+            )
+
+    def test_profile_mismatch_raises(self):
+        with pytest.raises(ConfigurationError):
+            Processor().run_phase(
+                profile(name="other"), np.random.default_rng(12),
+                active_cores=2, ops_per_core=1500,
+                plan=self.plan(profile())[0],
+            )
+
+    def test_matching_plan_equals_unplanned_run(self):
+        p = profile()
+        planned = Processor().run_workload(
+            [p], np.random.default_rng(12), active_cores=2,
+            ops_per_core=1500, plan=self.plan(p),
+        )
+        unplanned = Processor().run_workload(
+            [p], np.random.default_rng(11), active_cores=2, ops_per_core=1500
+        )
+        assert planned == unplanned
 
 
 def test_events_from_sample_scaling():

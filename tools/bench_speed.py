@@ -17,9 +17,10 @@ the performance trajectory:
    (``SEED_BASELINE_S``); absolute numbers are machine-dependent, the
    ratio on one machine is the tracked quantity.
 2. **Engine comparison** — the batched window engine vs the per-op
-   windowed reference on the same profiles: wall-time ratio, plus a
-   hard assertion that both produce bit-identical event totals *and*
-   leave the RNG in the identical state.
+   reference oracle (``tests/arch/reference_engine.py``) on the same
+   profiles: wall-time ratio, plus a hard assertion that both produce
+   bit-identical event totals *and* leave the RNG in the identical
+   state.
 3. **Parallel collection scaling** — ``characterize_suite`` over an
    8-workload subset with ``workers=1`` vs ``workers=N`` (the
    persistent worker pool), asserting the two metric matrices are
@@ -74,6 +75,7 @@ from repro.service.store import CACHE_DIR_ENV  # noqa: E402
 from repro.stacks.instrument import profiles_from_trace  # noqa: E402
 from repro.workloads.base import RunContext  # noqa: E402
 from repro.workloads.suite import SUITE  # noqa: E402
+from tests.arch import reference_engine  # noqa: E402
 
 #: Acceptance bar: disabled tracing must cost less than this fraction of
 #: the untraced run.
@@ -96,10 +98,11 @@ SEED_BASELINE_S = 2.380
 #: regression signal is :data:`ENGINE_SPEEDUP_FLOOR`, a same-run ratio.
 SINGLE_THREAD_SPEEDUP_FLOOR = 1.8
 
-#: ``--check`` floor on ``engine.batched_speedup`` — batched vs windowed
-#: measured back-to-back in the same process, so host-speed variance
-#: cancels.  The batched engine sustains ~1.5x over the per-op reference
-#: on the same profiles.
+#: ``--check`` floor on ``engine.batched_speedup`` — batched vs the per-op
+#: reference oracle ("windowed": it draws and simulates one window at a
+#: time) measured back-to-back in the same process, so host-speed
+#: variance cancels.  The batched engine sustains ~1.5x over the per-op
+#: reference on the same profiles.
 ENGINE_SPEEDUP_FLOOR = 1.3
 
 #: ``--check`` floor on ``collection.parallel_speedup`` — enforced only
@@ -162,7 +165,7 @@ def _time_single_thread(trials: int = _MICRO_TRIALS) -> float:
 
 
 def _compare_engines(smoke: bool) -> dict:
-    """Batched vs per-op windowed engine: bit identity, then wall time.
+    """Batched engine vs the per-op reference: bit identity, then wall time.
 
     Bit identity is the invariant the whole batched design rests on:
     identical event totals *and* an identical final RNG state (the
@@ -171,16 +174,17 @@ def _compare_engines(smoke: bool) -> dict:
     """
     profiles = _workload_profiles()
 
-    def once(engine: str):
-        processor = Processor()
+    def once(run_workload):
         rng = np.random.default_rng(1234)
-        events = processor.run_workload(
-            profiles, rng, active_cores=3, ops_per_core=4000, engine=engine
+        events = run_workload(
+            Processor(), profiles, rng, active_cores=3, ops_per_core=4000
         )
         return events, rng.bit_generator.state
 
-    windowed_events, windowed_state = once("windowed")
-    batched_events, batched_state = once("batched")
+    windowed = reference_engine.run_workload
+    batched = Processor.run_workload
+    windowed_events, windowed_state = once(windowed)
+    batched_events, batched_state = once(batched)
     bit_identical = (
         windowed_events == batched_events and windowed_state == batched_state
     )
@@ -191,8 +195,8 @@ def _compare_engines(smoke: bool) -> dict:
         )
 
     trials = 1 if smoke else _MICRO_TRIALS
-    windowed_s = best_of(lambda: once("windowed"), trials)
-    batched_s = best_of(lambda: once("batched"), trials)
+    windowed_s = best_of(lambda: once(windowed), trials)
+    batched_s = best_of(lambda: once(batched), trials)
     return {
         "windowed_seconds": round(windowed_s, 4),
         "batched_seconds": round(batched_s, 4),
@@ -338,7 +342,7 @@ def run_benchmark(workers: int, smoke: bool) -> dict:
     speedup = SEED_BASELINE_S / single
     print(f"  {single:.3f}s  ({speedup:.2f}x vs seed baseline {SEED_BASELINE_S}s)")
 
-    print("batched engine vs per-op windowed reference ...")
+    print("batched engine vs per-op reference oracle ...")
     engine_stats = _compare_engines(smoke)
     print(
         f"  windowed {engine_stats['windowed_seconds']}s vs batched "
