@@ -75,10 +75,10 @@ class TransactionGenerator:
         rng = self._rng
         num_buyers = num_buyers or max(1, count // 5)
         u = rng.random(count)
-        buyers = (num_buyers * (u**2.0)).astype(int)  # loyal-customer head
-        dates = rng.integers(1, 366, size=count)
+        buyers = (num_buyers * (u**2.0)).astype(int).tolist()  # loyal-customer head
+        dates = rng.integers(1, 366, size=count).tolist()
         return [
-            Order(order_id=i + 1, buyer_id=int(buyers[i]) + 1, date=int(dates[i]))
+            Order(order_id=i + 1, buyer_id=buyers[i] + 1, date=dates[i])
             for i in range(count)
         ]
 
@@ -112,18 +112,18 @@ class TransactionGenerator:
         rng = self._rng
         num_goods = num_goods or max(8, count // 20)
         u = rng.random(count)
-        goods = (num_goods * (u**2.5)).astype(int)  # popular-product head
-        orders = rng.integers(1, num_orders + 1, size=count)
-        quantities = rng.integers(1, 9, size=count)
-        prices = np.round(rng.lognormal(mean=2.5, sigma=0.8, size=count), 2)
+        goods = (num_goods * (u**2.5)).astype(int).tolist()  # popular-product head
+        orders = rng.integers(1, num_orders + 1, size=count).tolist()
+        quantities = rng.integers(1, 9, size=count).tolist()
+        prices = np.round(rng.lognormal(mean=2.5, sigma=0.8, size=count), 2).tolist()
         return [
             OrderItem(
                 item_id=id_offset + i + 1,
-                order_id=int(orders[i]),
-                goods_id=int(goods[i]) + 1,
-                category=_CATEGORIES[(int(goods[i]) + 1) % len(_CATEGORIES)],
-                quantity=int(quantities[i]),
-                price=float(max(0.5, prices[i])),
+                order_id=orders[i],
+                goods_id=goods[i] + 1,
+                category=_CATEGORIES[(goods[i] + 1) % len(_CATEGORIES)],
+                quantity=quantities[i],
+                price=max(0.5, prices[i]),
             )
             for i in range(count)
         ]

@@ -11,6 +11,7 @@ head of frequent words (WordCount combiners work), rare-word tails
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +36,37 @@ class LabeledDocument:
         return " ".join(self.words)
 
 
+@functools.lru_cache(maxsize=8)
+def _vocabulary_words(size: int, seed: int) -> tuple[str, ...]:
+    """The words of ``Vocabulary(size, seed)``, built once per process.
+
+    The words depend only on ``(size, seed)``, and every workload of a
+    collection asks for the same vocabulary.  The scalar draws are
+    interleaved on purpose: bulk draws would produce different words.
+    """
+    rng = np.random.default_rng(seed)
+    words: list[str] = []
+    seen: set[str] = set()
+    while len(words) < size:
+        syllables = int(rng.integers(1, 4))
+        word = "".join(
+            _CONSONANTS[int(rng.integers(0, len(_CONSONANTS)))]
+            + _VOWELS[int(rng.integers(0, len(_VOWELS)))]
+            for _ in range(syllables)
+        )
+        if word not in seen:
+            seen.add(word)
+            words.append(word)
+    return tuple(words)
+
+
 class Vocabulary:
     """A deterministic synthetic vocabulary of pronounceable words."""
 
     def __init__(self, size: int, seed: int = 7) -> None:
         if size <= 0:
             raise DataGenerationError("vocabulary size must be positive")
-        rng = np.random.default_rng(seed)
-        words: list[str] = []
-        seen: set[str] = set()
-        while len(words) < size:
-            syllables = int(rng.integers(1, 4))
-            word = "".join(
-                _CONSONANTS[int(rng.integers(0, len(_CONSONANTS)))]
-                + _VOWELS[int(rng.integers(0, len(_VOWELS)))]
-                for _ in range(syllables)
-            )
-            if word not in seen:
-                seen.add(word)
-                words.append(word)
-        self.words = tuple(words)
+        self.words = _vocabulary_words(size, seed)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -92,7 +104,8 @@ class TextGenerator:
         if count < 0:
             raise DataGenerationError("word count must be non-negative")
         indices = self._rng.choice(len(self.vocabulary), size=count, p=self._base_probs)
-        return [self.vocabulary[int(i)] for i in indices]
+        words = self.vocabulary.words
+        return [words[i] for i in indices.tolist()]
 
     def lines(self, count: int, words_per_line: int = 12) -> list[str]:
         """Sample ``count`` text lines (for Grep / WordCount inputs)."""
@@ -144,6 +157,7 @@ class TextGenerator:
             boosted[start:end] *= topic_strength
             class_probs[label] = boosted / boosted.sum()
 
+        words = self.vocabulary.words
         documents: list[LabeledDocument] = []
         labels = [classes[int(i)] for i in self._rng.integers(0, len(classes), size=count)]
         for label in labels:
@@ -151,7 +165,7 @@ class TextGenerator:
             documents.append(
                 LabeledDocument(
                     label=label,
-                    words=tuple(self.vocabulary[int(i)] for i in indices),
+                    words=tuple([words[i] for i in indices.tolist()]),
                 )
             )
         return documents

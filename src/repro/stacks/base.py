@@ -202,6 +202,26 @@ def estimate_bytes(record: object) -> int:
     The engines track data volume through this instead of
     ``sys.getsizeof`` so byte counts are stable across Python versions.
     """
+    # Exact-type fast path for the record shapes the engines move, with
+    # the leaves of a tuple or list sized inline; the isinstance chain
+    # below sizes everything else (None, bool, subclasses, bytes, dicts,
+    # dataclasses) to the same result.
+    kind = type(record)
+    if kind is tuple or kind is list:
+        total = 2
+        for item in record:
+            leaf = type(item)
+            if leaf is str:
+                total += len(item) + 1
+            elif leaf is int or leaf is float:
+                total += 8
+            else:
+                total += estimate_bytes(item)
+        return total
+    if kind is str:
+        return len(record) + 1
+    if kind is int or kind is float:
+        return 8
     if record is None:
         return 1
     if isinstance(record, bool):

@@ -34,7 +34,7 @@ _rdd_ids = itertools.count(1)
 
 
 def _partition_bytes(partition: list) -> int:
-    return sum(estimate_bytes(record) for record in partition)
+    return sum(map(estimate_bytes, partition))
 
 
 class SparkContextLike:
@@ -250,14 +250,15 @@ class _SourceRDD(RDD):
         output: list[list] = []
         for index, partition in enumerate(self._partitions):
             def body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.STAGE,
                     "scan:parallelize",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return list(partition)
 
@@ -416,14 +417,15 @@ class _UnionRDD(RDD):
         right = self.engine.compute(self._right, trace)
         partitions = left + right
         for index, partition in enumerate(partitions):
+            size = _partition_bytes(partition)
             trace.emit(
                 PhaseKind.STAGE,
                 "stage:union",
                 worker=self.preferred_worker(index),
                 records_in=len(partition),
-                bytes_in=_partition_bytes(partition),
+                bytes_in=size,
                 records_out=len(partition),
-                bytes_out=_partition_bytes(partition),
+                bytes_out=size,
             )
         return partitions
 
@@ -490,14 +492,15 @@ class _ShuffledRDD(RDD):
         output: list[list] = []
         for index, bucket in enumerate(buckets):
             def read_body(recorder, worker, bucket=bucket):
+                size = _partition_bytes(bucket)
                 recorder.emit(
                     PhaseKind.SHUFFLE_READ,
                     "shuffle-read",
                     worker=worker,
                     records_in=len(bucket),
-                    bytes_in=_partition_bytes(bucket),
+                    bytes_in=size,
                     records_out=len(bucket),
-                    bytes_out=_partition_bytes(bucket),
+                    bytes_out=size,
                     fetches=float(len(parents)),
                 )
                 if self._combiner is not None:
@@ -545,14 +548,15 @@ class _SortedRDD(RDD):
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
         for index, partition in enumerate(parents):
             def write_body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     "shuffle-write:sort",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return partition
 
@@ -569,24 +573,26 @@ class _SortedRDD(RDD):
         output: list[list] = []
         for index, bucket in enumerate(buckets):
             def read_body(recorder, worker, bucket=bucket):
+                size = _partition_bytes(bucket)
                 recorder.emit(
                     PhaseKind.SHUFFLE_READ,
                     "shuffle-read:sort",
                     worker=worker,
                     records_in=len(bucket),
-                    bytes_in=_partition_bytes(bucket),
+                    bytes_in=size,
                     records_out=len(bucket),
-                    bytes_out=_partition_bytes(bucket),
+                    bytes_out=size,
                 )
+                # A permutation of the bucket: same records, same size.
                 result = sorted(bucket, key=self._key_fn)
                 recorder.emit(
                     PhaseKind.STAGE,
                     "stage:sort",
                     worker=worker,
                     records_in=len(result),
-                    bytes_in=_partition_bytes(result),
+                    bytes_in=size,
                     records_out=len(result),
-                    bytes_out=_partition_bytes(result),
+                    bytes_out=size,
                     compare_ops=float(len(result)) * math.log2(max(2, len(result))),
                 )
                 return result
@@ -613,14 +619,15 @@ class _CoGroupedRDD(RDD):
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
         for index, partition in enumerate(parents):
             def write_body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     f"shuffle-write:{label}",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return partition
 

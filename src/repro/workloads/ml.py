@@ -42,9 +42,14 @@ _DAMPING = 0.85
 # ---------------------------------------------------------------------------
 
 
-def _bayes_model(counts: dict) -> tuple[dict, dict, set]:
-    """Split raw ((label, word), n) counts into priors and likelihoods."""
+def _bayes_model(counts: dict) -> tuple[dict, dict, dict, set]:
+    """Split raw ((label, word), n) counts into priors and likelihoods.
+
+    Returns the per-label document counts, the per-label word totals, the
+    per-(label, word) counts and the vocabulary.
+    """
     label_totals: dict[str, int] = {}
+    label_words: dict[str, int] = {}
     word_counts: dict[tuple[str, str], int] = {}
     vocabulary: set[str] = set()
     for (label, word), count in counts.items():
@@ -52,38 +57,34 @@ def _bayes_model(counts: dict) -> tuple[dict, dict, set]:
             label_totals[label] = label_totals.get(label, 0) + count
         else:
             word_counts[(label, word)] = count
+            label_words[label] = label_words.get(label, 0) + count
             vocabulary.add(word)
-    return label_totals, word_counts, vocabulary
+    return label_totals, label_words, word_counts, vocabulary
 
 
 def _bayes_classify(
     words: tuple[str, ...],
     label_totals: dict,
+    label_words: dict,
     word_counts: dict,
     vocabulary: set,
 ) -> str:
     total_docs = sum(label_totals.values())
     best_label, best_score = "", -math.inf
     for label, doc_count in label_totals.items():
-        label_words = sum(
-            count for (l, _w), count in word_counts.items() if l == label
-        )
+        denominator = label_words.get(label, 0) + len(vocabulary)
         score = math.log(doc_count / total_docs)
         for word in words:
             count = word_counts.get((label, word), 0)
-            score += math.log((count + 1) / (label_words + len(vocabulary)))
+            score += math.log((count + 1) / denominator)
         if score > best_score:
             best_label, best_score = label, score
     return best_label
 
 
 def _bayes_check(counts: dict, test_docs) -> dict[str, float]:
-    label_totals, word_counts, vocabulary = _bayes_model(counts)
-    correct = sum(
-        1
-        for doc in test_docs
-        if _bayes_classify(doc.words, label_totals, word_counts, vocabulary) == doc.label
-    )
+    model = _bayes_model(counts)
+    correct = sum(1 for doc in test_docs if _bayes_classify(doc.words, *model) == doc.label)
     return {"accuracy": correct / len(test_docs)}
 
 

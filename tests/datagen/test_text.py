@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.datagen.text import TextGenerator, Vocabulary
+from repro.datagen.text import TextGenerator, Vocabulary, _vocabulary_words
 from repro.errors import DataGenerationError
 
 
@@ -85,3 +85,27 @@ def test_parameter_validation():
         generator.words(-1)
     with pytest.raises(DataGenerationError):
         generator.lines(5, words_per_line=0)
+
+
+def test_vocabulary_words_are_built_once_per_key():
+    assert Vocabulary(300, seed=11).words is Vocabulary(300, seed=11).words
+    assert Vocabulary(300, seed=11).words is not Vocabulary(300, seed=12).words
+
+
+def test_vocabulary_memo_is_bounded():
+    maxsize = _vocabulary_words.cache_info().maxsize
+    assert maxsize is not None
+    for seed in range(maxsize + 3):
+        Vocabulary(20, seed=1000 + seed)
+    assert _vocabulary_words.cache_info().currsize <= maxsize
+
+
+def test_generators_sharing_a_vocabulary_keep_their_own_streams():
+    first, second = TextGenerator(seed=42), TextGenerator(seed=42)
+    assert first.vocabulary.words is second.vocabulary.words
+    assert first.words(100) == second.words(100)
+    # Drawing from one generator must not advance the other.
+    first.words(500)
+    reference = TextGenerator(seed=42)
+    reference.words(100)
+    assert second.words(100) == reference.words(100)
