@@ -27,9 +27,11 @@ from repro.analysis.figures import (
 from repro.analysis.tables import Table4, Table5, table4, table5
 from repro.cluster.collection import CollectionConfig, characterize_suite
 from repro.cluster.testbed import MeasurementConfig
+from repro.core.dataset import WorkloadMetricMatrix
 from repro.core.subsetting import SubsettingResult, subset_workloads
 
-__all__ = ["ExperimentConfig", "Experiment", "run_experiment", "FAST_CONFIG"]
+__all__ = ["ExperimentConfig", "Experiment", "run_experiment",
+           "experiment_from_matrix", "FAST_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -97,14 +99,21 @@ def run_experiment(config: ExperimentConfig | None = None) -> Experiment:
     suite = characterize_suite(
         config=config.collection, cache_dir=config.cache_dir
     )
-    result = subset_workloads(suite.matrix, seed=config.subsetting_seed)
+    return experiment_from_matrix(suite.matrix, config)
+
+
+def experiment_from_matrix(
+    matrix: WorkloadMetricMatrix, config: ExperimentConfig
+) -> Experiment:
+    """Every figure and table of an already collected suite matrix."""
+    result = subset_workloads(matrix, seed=config.subsetting_seed)
     return Experiment(
         config=config,
         result=result,
         fig1=figure1(result),
         fig2_3=figure2_3(result),
         fig4=figure4(result),
-        fig5=figure5(suite.matrix),
+        fig5=figure5(matrix),
         fig6=figure6(result),
         tab4=table4(result),
         tab5=table5(result),

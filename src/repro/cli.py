@@ -520,19 +520,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         subsetting = None
     budgeted = None
     try:
-        from repro.core.pca import fit_pca
-        from repro.subset import estimate_costs, select_budgeted
+        from repro.subset import estimate_costs, select_for_suite
 
-        costs = estimate_costs(result.characterizations)
-        budget = args.budget
-        if budget is None:
-            # Default operating point: half the pool's simulation cost.
-            budget = 0.5 * sum(cost.seconds for cost in costs)
-        budgeted = select_budgeted(
-            fit_pca(result.matrix.values).scores,
-            result.matrix.workloads,
-            costs,
-            budget,
+        budgeted = select_for_suite(
+            result.matrix, estimate_costs(result.characterizations), args.budget
         )
     except ReproError as error:
         print(f"repro: budget panel skipped: {error}", file=sys.stderr)
@@ -568,10 +559,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_subset(args: argparse.Namespace) -> int:
     from repro.cluster.collection import characterize_suite
-    from repro.core.pca import fit_pca
     from repro.core.subsetting import subset_workloads
     from repro.errors import ReproError, SubsetError
-    from repro.subset import estimate_costs, select_budgeted
+    from repro.subset import estimate_costs, select_for_suite
 
     import math
 
@@ -599,10 +589,7 @@ def _cmd_subset(args: argparse.Namespace) -> int:
     if args.budget is not None:
         try:
             costs = estimate_costs(result.characterizations)
-            points = fit_pca(result.matrix.values).scores
-            selection = select_budgeted(
-                points, result.matrix.workloads, costs, args.budget
-            )
+            selection = select_for_suite(result.matrix, costs, args.budget)
         except SubsetError as error:
             print(f"repro: {error}", file=sys.stderr)
             return EXIT_USAGE
@@ -637,13 +624,9 @@ def _cmd_subset(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    bounds = {} if args.k is None else {"k_min": args.k, "k_max": args.k}
     try:
-        if args.k is None:
-            subsetting = subset_workloads(result.matrix, seed=args.seed)
-        else:
-            subsetting = subset_workloads(
-                result.matrix, seed=args.seed, k_min=args.k, k_max=args.k
-            )
+        subsetting = subset_workloads(result.matrix, seed=args.seed, **bounds)
     except ReproError as error:
         print(f"repro: subsetting failed: {error}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,8 +36,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.pool import (
     LazyWorkloadCharacterization,
     get_pool,
@@ -62,6 +60,8 @@ __all__ = [
     "suite_store_key",
     "workload_store_key",
     "collection_runs",
+    "suite_matrix",
+    "load_characterizations",
     "ProgressFn",
     "WorkloadFn",
 ]
@@ -281,15 +281,6 @@ def _collect_serial(
     return characterizations
 
 
-def _pool_token(config: CollectionConfig) -> str:
-    """What must match for a persistent pool to be reused: everything
-    the workers latched at initialization time."""
-    return (
-        f"{config.cache_key()}-rt{config.workload_retries}"
-        f"-fc{config.flight_capacity}"
-    )
-
-
 def _collect_parallel(
     workloads: tuple[Workload, ...],
     config: CollectionConfig,
@@ -323,17 +314,7 @@ def _collect_parallel(
     if store_root is None:
         store_root = pool_spill_dir()
     store_root = str(Path(store_root))
-    init = {
-        "scale": config.scale,
-        "seed": config.seed,
-        "measurement": config.measurement,
-        "faults": config.faults,
-        "retries": config.workload_retries,
-        "timeline": config.timeline,
-        "flight_capacity": config.flight_capacity,
-        "store_root": str(store_root),
-    }
-    pool = get_pool(workers, init, _pool_token(config))
+    pool = get_pool(replace(config, workers=workers), store_root)
     parent_store = ResultStore(store_root)
     characterizations: list[WorkloadCharacterization] = []
 
@@ -370,6 +351,27 @@ def _collect_parallel(
     return characterizations
 
 
+def suite_matrix(entry: dict) -> WorkloadMetricMatrix:
+    """The workload × metric matrix of a stored suite entry (the format
+    :func:`_persist_to_store` writes)."""
+    return WorkloadMetricMatrix.from_payload(entry["matrix"])
+
+
+def load_characterizations(
+    store, config: CollectionConfig, names, touch: bool = True
+) -> list[WorkloadCharacterization]:
+    """The stored characterizations of ``names``, in order; workloads
+    whose per-workload entry is missing are skipped."""
+    from repro.service.store import characterization_from_payload
+
+    characterizations = []
+    for name in names:
+        payload = store.get(workload_store_key(config, name), touch=touch)
+        if payload is not None:
+            characterizations.append(characterization_from_payload(payload))
+    return characterizations
+
+
 def _hydrate_from_store(store, key: str, config: CollectionConfig):
     """Rebuild a full SuiteCharacterization from the persistent store.
 
@@ -377,26 +379,16 @@ def _hydrate_from_store(store, key: str, config: CollectionConfig):
     per-workload entry are present and compatible — a partially evicted
     suite is recollected rather than served half-hydrated.
     """
-    from repro.service.store import characterization_from_payload
-
     entry = store.get(key)
     if entry is None or entry.get("kind") != "suite":
         return None
-    matrix_payload = entry["matrix"]
-    if tuple(matrix_payload["metrics"]) != METRIC_NAMES:
+    if tuple(entry["matrix"]["metrics"]) != METRIC_NAMES:
         return None  # stale: the metric catalog changed
-    characterizations = []
-    for name in entry["workloads"]:
-        payload = store.get(workload_store_key(config, name))
-        if payload is None:
-            return None
-        characterizations.append(characterization_from_payload(payload))
-    matrix = WorkloadMetricMatrix(
-        workloads=tuple(matrix_payload["workloads"]),
-        values=np.array(matrix_payload["values"], dtype=float),
-    )
+    characterizations = load_characterizations(store, config, entry["workloads"])
+    if len(characterizations) != len(entry["workloads"]):
+        return None
     return SuiteCharacterization(
-        matrix=matrix, characterizations=tuple(characterizations)
+        matrix=suite_matrix(entry), characterizations=tuple(characterizations)
     )
 
 
@@ -424,11 +416,7 @@ def _persist_to_store(
             "kind": "suite",
             "key": key,
             "workloads": [name for name in result.matrix.workloads],
-            "matrix": {
-                "workloads": list(result.matrix.workloads),
-                "metrics": list(METRIC_NAMES),
-                "values": result.matrix.values.tolist(),
-            },
+            "matrix": result.matrix.to_payload(),
         },
     )
 

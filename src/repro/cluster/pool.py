@@ -9,11 +9,11 @@ timeline — back through the result queue.  This module replaces that
 with long-lived workers and a compact wire protocol:
 
 * **Workers are persistent.**  A :class:`CollectionPool` forks its
-  workers once; each builds one :class:`Cluster` (and resolves its
-  collection config) in its initializer and then characterizes any
-  number of workloads on it.  ``Processor.run_workload`` resets all
-  microarchitectural state per workload, so reuse is bit-identical to a
-  fresh cluster (the invariant the old fan-out already relied on).
+  workers once; each builds one :class:`Cluster` for the pool's frozen
+  collection config and then characterizes any number of workloads on
+  it.  ``Processor.run_workload`` resets all microarchitectural state
+  per workload, so reuse is bit-identical to a fresh cluster (the
+  invariant the old fan-out already relied on).
 * **Work items are compact.**  A task is ``(job, name, store_key,
   meta)`` — the workload name, the store key the result should land
   under, and an observational annotation dict (correlation ids for the
@@ -39,7 +39,8 @@ Lifecycle guarantees (pinned by ``tests/cluster/test_worker_pool.py``):
 * cooperative cancellation stops dispatching, *drains* in-flight tasks
   (workers stay healthy and reusable), then raises
   :class:`CollectionCancelled`;
-* pools are singletons per ``(workers, config, store root)`` and are
+* pools are singletons per ``(config, store root)`` — the whole frozen
+  config, its ``workers`` field set to the pool size — and are
   shut down at interpreter exit; results from an abandoned run carry a
   stale generation stamp and are discarded, never misattributed.
 
@@ -224,7 +225,7 @@ class LazyWorkloadCharacterization(WorkloadCharacterization):
 _WORKER_TRACE_CAPACITY = 4096
 
 
-def _worker_main(tasks, results, init: dict) -> None:
+def _worker_main(tasks, results, config, store_root: str) -> None:
     """The persistent worker loop: build the cluster once, then serve.
 
     Protocol: each task is ``(generation, index, name, store_key,
@@ -256,7 +257,7 @@ def _worker_main(tasks, results, init: dict) -> None:
     REGISTRY.reset_values()
     tracer = Tracer(max_events=_WORKER_TRACE_CAPACITY)
     shards = ShardWriter(
-        init["store_root"],
+        store_root,
         instance=f"pool-{os.getpid():x}",
         role="pool",
         tracer=tracer,
@@ -266,7 +267,7 @@ def _worker_main(tasks, results, init: dict) -> None:
     # frames (attributed to the pool:characterize:<name> span) mid-task.
     arm_profiling()
     profile_agent = ProfileAgent(
-        init["store_root"], instance=f"pool-{os.getpid():x}", role="pool"
+        store_root, instance=f"pool-{os.getpid():x}", role="pool"
     ).start()
     tasks_done = REGISTRY.counter(
         "repro_pool_tasks_total",
@@ -274,8 +275,8 @@ def _worker_main(tasks, results, init: dict) -> None:
         ("outcome",),
     )
     cluster = Cluster()
-    context = RunContext(scale=init["scale"], seed=init["seed"])
-    store = ResultStore(init["store_root"])
+    context = RunContext(scale=config.scale, seed=config.seed)
+    store = ResultStore(store_root)
     while True:
         task = tasks.get()
         if task is None:
@@ -295,11 +296,11 @@ def _worker_main(tasks, results, init: dict) -> None:
                     cluster,
                     workload_by_name(name),
                     context,
-                    init["measurement"],
-                    init["faults"],
-                    init["retries"],
-                    init["timeline"],
-                    init["flight_capacity"],
+                    config.measurement,
+                    config.faults,
+                    config.workload_retries,
+                    config.timeline,
+                    config.flight_capacity,
                 )
             digest, nbytes = store.put_object(
                 store_key, characterization_to_payload(characterization)
@@ -341,12 +342,12 @@ def _worker_main(tasks, results, init: dict) -> None:
 class CollectionPool:
     """A fixed set of long-lived collection workers (see module docstring)."""
 
-    def __init__(self, workers: int, init: dict) -> None:
-        if workers < 1:
+    def __init__(self, config, store_root: str) -> None:
+        if config.workers < 1:
             raise WorkerPoolError("a pool needs at least one worker")
         ctx = multiprocessing.get_context()
-        self.workers = workers
-        self.store_root = init["store_root"]
+        self.workers = config.workers
+        self.store_root = store_root
         self._tasks = ctx.Queue()
         self._results = ctx.Queue()
         self._generation = 0
@@ -355,11 +356,11 @@ class CollectionPool:
         self._procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(self._tasks, self._results, init),
+                args=(self._tasks, self._results, config, store_root),
                 daemon=True,
                 name=f"repro-pool-{i}",
             )
-            for i in range(workers)
+            for i in range(self.workers)
         ]
         for proc in self._procs:
             proc.start()
@@ -540,13 +541,15 @@ def pool_spill_dir() -> str:
         return _SPILL_DIR
 
 
-def get_pool(workers: int, init: dict, token: str) -> CollectionPool:
-    """The process-wide pool for ``(workers, token, store_root)``.
+def get_pool(config, store_root: str) -> CollectionPool:
+    """The process-wide pool for ``(config, store_root)``; the frozen
+    collection config's ``workers`` is the pool size.
 
-    A healthy matching pool is reused; a differing configuration shuts
-    the old pool down first (one pool's worth of processes at a time).
+    A healthy pool built for an equal config is reused; any differing
+    field shuts the old pool down first (one pool's worth of processes
+    at a time).
     """
-    key = (workers, token, str(init["store_root"]))
+    key = (config, str(store_root))
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is not None and not pool.closed:
@@ -554,7 +557,7 @@ def get_pool(workers: int, init: dict, token: str) -> CollectionPool:
         for old in list(_POOLS.values()):
             old.shutdown()
         _POOLS.clear()
-        pool = CollectionPool(workers, init)
+        pool = CollectionPool(config, str(store_root))
         _POOLS[key] = pool
         return pool
 

@@ -102,14 +102,25 @@ class WorkloadMetricMatrix:
             lines.append(f"{workload},{values}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        """Write the matrix as JSON."""
-        payload = {
+    def to_payload(self) -> dict:
+        """The matrix as a JSON-safe dict (files and store entries)."""
+        return {
             "workloads": list(self.workloads),
             "metrics": list(METRIC_NAMES),
             "values": self.values.tolist(),
         }
-        Path(path).write_text(json.dumps(payload))
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "WorkloadMetricMatrix":
+        """Inverse of :meth:`to_payload` (metric columns not checked)."""
+        return cls(
+            workloads=tuple(payload["workloads"]),
+            values=np.array(payload["values"], dtype=float),
+        )
+
+    def save(self, path: str | Path) -> None:
+        """Write the matrix as JSON."""
+        Path(path).write_text(json.dumps(self.to_payload()))
 
     @classmethod
     def load(cls, path: str | Path) -> "WorkloadMetricMatrix":
@@ -122,7 +133,4 @@ class WorkloadMetricMatrix:
         payload = json.loads(Path(path).read_text())
         if tuple(payload["metrics"]) != METRIC_NAMES:
             raise AnalysisError(f"{path}: stale cache (metric catalog changed)")
-        return cls(
-            workloads=tuple(payload["workloads"]),
-            values=np.array(payload["values"], dtype=float),
-        )
+        return cls.from_payload(payload)

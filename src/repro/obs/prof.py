@@ -150,10 +150,23 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
+#: Set while a tick samples.  ``sys._current_frames()`` holds the
+#: runtime's thread-list lock and may run the garbage collector, whose
+#: weakref callbacks let a second tick fire inside the first; sampling
+#: again there would wait on that lock forever.
+_IN_TICK = False
+
+
 def _on_tick(signum, frame) -> None:
+    global _IN_TICK
     profiler = _ACTIVE
-    if profiler is not None:
+    if profiler is None or _IN_TICK:
+        return
+    _IN_TICK = True
+    try:
         profiler._sample(signal_frame=frame)
+    finally:
+        _IN_TICK = False
 
 
 def arm() -> bool:

@@ -48,10 +48,12 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.cluster.collection import (
     CollectionConfig,
-    characterize_suite,
+    load_characterizations,
+    suite_matrix,
     suite_store_key,
     workload_store_key,
 )
+from repro.core.dataset import WorkloadMetricMatrix
 from repro.core.subsetting import subset_workloads
 from repro.errors import ReproError, ServiceError, WorkloadError
 from repro.metrics.catalog import METRICS
@@ -98,6 +100,10 @@ CORRELATION_HEADER = "X-Repro-Correlation-Id"
 
 #: Ring bound of the service's long-running tracer (newest spans win).
 _TRACE_CAPACITY = 8192
+
+#: Query-keyed responses (``/subset?k=``, ``/subset?budget=``) kept per
+#: suite ETag; beyond this many the oldest is dropped.
+_MAX_QUERY_RESPONSES = 64
 
 _log = get_logger("repro.service.server")
 
@@ -171,6 +177,20 @@ def _computed(payload, status: int = 200) -> _Response:
     return _Response(status, body, etag=hashlib.sha256(body).hexdigest()[:32])
 
 
+@dataclass
+class _SuiteState:
+    """A stored suite entry, its matrix and the responses derived from
+    them, for one store ETag.  A new ETag replaces the whole state, so
+    no response of an old suite outlives it."""
+
+    etag: str
+    entry: dict
+    matrix: WorkloadMetricMatrix
+    #: ``(build function name, query)`` → response; ``query`` is ``None`` for
+    #: the fixed endpoints, which are never dropped.
+    responses: dict[tuple, _Response] = field(default_factory=dict)
+
+
 class CharacterizationService:
     """Endpoint logic, independent of the HTTP plumbing (unit-testable)."""
 
@@ -191,12 +211,11 @@ class CharacterizationService:
             tracer=self.tracer,
         )
         self._lock = threading.Lock()
-        self._derived: dict[tuple, _Response] = {}
         # Warm-path caches, all validated against the store's etag (one
-        # stat() per request): the parsed suite entry and per-workload
+        # stat() per request): the suite state and per-workload
         # characterization responses.  A sibling worker rewriting the
         # store invalidates them on the next request automatically.
-        self._suite_cache: tuple[str, dict] | None = None
+        self._suite: _SuiteState | None = None
         self._char_cache: dict[str, tuple[str, _Response]] = {}
         # Fleet telemetry: this process's metric shard (and trace spill)
         # in the shared store, merged with the siblings' at scrape time.
@@ -260,13 +279,13 @@ class CharacterizationService:
                 parts[1], wait=wait, correlation_id=correlation_id
             )
         if parts == ["suite", "matrix"]:
-            return self._matrix(correlation_id)
+            return self._suite_response(self._matrix, None, correlation_id)
         if parts == ["subset"]:
             return self._subset(query, correlation_id)
         if parts == ["observations"]:
             return self._observations(correlation_id)
         if parts == ["dashboard"]:
-            return self._dashboard(correlation_id)
+            return self._suite_response(self._dashboard, None, correlation_id)
         if parts == ["jobs"]:
             # Merged across the worker fleet: local jobs plus every
             # sibling's persisted snapshots from the shared store.
@@ -556,17 +575,15 @@ class CharacterizationService:
             self._char_cache[key] = (etag, response)
         return response
 
-    def _ensure_suite(
-        self, correlation_id: str | None = None
-    ) -> tuple[dict, str]:
-        """The suite entry + its ETag, collecting (single-flight) if cold."""
+    def _ensure_suite(self, correlation_id: str | None = None) -> _SuiteState:
+        """The suite's state at its current ETag, collecting
+        (single-flight) if cold."""
         key = suite_store_key(self.config.collection, self.config.workloads)
         etag = self.store.etag(key)
-        if etag is not None:
-            with self._lock:
-                cached = self._suite_cache
-            if cached is not None and cached[0] == etag:
-                return cached[1], etag
+        with self._lock:
+            state = self._suite
+        if state is not None and etag is not None and state.etag == etag:
+            return state
         entry = self.store.get(key, touch=False)
         if entry is None:
             self._await_job(
@@ -575,11 +592,27 @@ class CharacterizationService:
             entry = self.store.get(key, touch=False)
             if entry is None:
                 raise _HttpError(500, f"suite entry {key!r} missing after collection")
-        etag = self.store.etag(key) or ""
-        if etag:
+        state = _SuiteState(self.store.etag(key) or "", entry, suite_matrix(entry))
+        if state.etag:
             with self._lock:
-                self._suite_cache = (etag, entry)
-        return entry, etag
+                self._suite = state
+        return state
+
+    def _suite_response(self, build, query, correlation_id) -> _Response:
+        """``build(state, query)``'s response, computed once per suite
+        ETag and ``query`` (``None`` for the fixed endpoints)."""
+        state = self._ensure_suite(correlation_id)
+        key = (build.__name__, query)
+        with self._lock:
+            cached = state.responses.get(key)
+        if cached is None:
+            cached = build(state, query)
+            with self._lock:
+                state.responses[key] = cached
+                queried = [k for k in state.responses if k[1] is not None]
+                if len(queried) > _MAX_QUERY_RESPONSES:
+                    del state.responses[queried[0]]
+        return cached
 
     def _await_job(
         self, names: tuple[str, ...], correlation_id: str | None = None
@@ -682,14 +715,10 @@ class CharacterizationService:
         stream = stream_local() if job is not None else stream_shared()
         return _Response(200, b"", content_type=_EVENT_STREAM, stream=stream)
 
-    def _matrix(self, correlation_id: str | None = None) -> _Response:
-        entry, etag = self._ensure_suite(correlation_id)
-        with self._lock:
-            cached = self._derived.get(("matrix", etag))
-            if cached is None:
-                cached = _Response(200, _dumps(entry["matrix"]), etag=etag)
-                self._derived[("matrix", etag)] = cached
-        return cached
+    # -- responses derived from the stored suite ------------------------------
+
+    def _matrix(self, state: _SuiteState, _query) -> _Response:
+        return _Response(200, _dumps(state.entry["matrix"]), etag=state.etag)
 
     def _subset(
         self,
@@ -701,7 +730,21 @@ class CharacterizationService:
                 400, "provide either k (cluster count) or budget (seconds), not both"
             )
         if "budget" in query:
-            return self._subset_budgeted(query["budget"][0], correlation_id)
+            raw_budget = query["budget"][0]
+            try:
+                budget_s = float(raw_budget)
+            except ValueError:
+                raise _HttpError(
+                    400, f"budget must be a number of seconds, got {raw_budget!r}"
+                ) from None
+            if not math.isfinite(budget_s) or budget_s <= 0:
+                raise _HttpError(
+                    400,
+                    f"budget must be a positive number of seconds, got {raw_budget!r}",
+                )
+            return self._suite_response(
+                self._subset_budgeted, budget_s, correlation_id
+            )
         k: int | None = None
         if "k" in query:
             try:
@@ -711,28 +754,14 @@ class CharacterizationService:
         n = len(self.config.workloads)
         if k is not None and not 2 <= k <= n - 1:
             raise _HttpError(400, f"k must be in [2, {n - 1}] for {n} workloads")
-        entry, etag = self._ensure_suite(correlation_id)
-        cache_key = ("subset", etag, k)
-        with self._lock:
-            cached = self._derived.get(cache_key)
-        if cached is not None:
-            return cached
+        return self._suite_response(self._subset_k, k, correlation_id)
 
-        import numpy as np
-
-        from repro.core.dataset import WorkloadMetricMatrix
-
-        matrix = WorkloadMetricMatrix(
-            workloads=tuple(entry["matrix"]["workloads"]),
-            values=np.array(entry["matrix"]["values"], dtype=float),
-        )
+    def _subset_k(self, state: _SuiteState, k: int | None) -> _Response:
+        bounds = {} if k is None else {"k_min": k, "k_max": k}
         try:
-            if k is None:
-                result = subset_workloads(matrix, seed=self.config.subsetting_seed)
-            else:
-                result = subset_workloads(
-                    matrix, seed=self.config.subsetting_seed, k_min=k, k_max=k
-                )
+            result = subset_workloads(
+                state.matrix, seed=self.config.subsetting_seed, **bounds
+            )
         except ReproError as exc:
             raise _HttpError(400, f"subsetting failed: {exc}") from exc
 
@@ -747,7 +776,7 @@ class CharacterizationService:
                 for rep in representatives
             ]
 
-        response = _computed(
+        return _computed(
             {
                 "k": result.clustering.k,
                 "requested_k": k,
@@ -758,9 +787,6 @@ class CharacterizationService:
                 "nearest": reps(result.nearest),
             }
         )
-        with self._lock:
-            self._derived[cache_key] = response
-        return response
 
     def _workload_costs(self, entry: dict):
         """Per-workload simulated-runtime costs for the collected suite.
@@ -772,11 +798,11 @@ class CharacterizationService:
         (source ``"median"``) — the selection pool must still span the
         whole matrix.
         """
-        from repro.service.store import characterization_from_payload
         from repro.subset.cost import (
             WorkloadCost,
             estimate_costs,
             load_costs,
+            median,
             persist_costs,
         )
 
@@ -788,86 +814,46 @@ class CharacterizationService:
         ):
             return cached
 
-        characterizations = []
-        for name in names:
-            payload = self.store.get(
-                workload_store_key(self.config.collection, name), touch=False
-            )
-            if payload is not None:
-                characterizations.append(characterization_from_payload(payload))
+        characterizations = load_characterizations(
+            self.store, self.config.collection, names, touch=False
+        )
         if not characterizations:
             raise _HttpError(
                 500, "no stored characterizations to derive subset costs from"
             )
         costs = list(estimate_costs(characterizations))
         known = {cost.workload for cost in costs}
-        missing = [name for name in names if name not in known]
-        if missing:
-            seconds = sorted(cost.seconds for cost in costs)
-            mid = len(seconds) // 2
-            median = (
-                seconds[mid]
-                if len(seconds) % 2
-                else 0.5 * (seconds[mid - 1] + seconds[mid])
+        stand_in = median([cost.seconds for cost in costs])
+        costs.extend(
+            WorkloadCost(
+                workload=name, seconds=stand_in, source="median",
+                raw_units=stand_in,
             )
-            costs.extend(
-                WorkloadCost(
-                    workload=name, seconds=median, source="median",
-                    raw_units=median,
-                )
-                for name in missing
-            )
+            for name in names
+            if name not in known
+        )
         costs = tuple(costs)
         persist_costs(self.store, suite_key, costs)
         return costs
 
-    def _subset_budgeted(
-        self, raw_budget: str, correlation_id: str | None = None
-    ) -> _Response:
-        try:
-            budget_s = float(raw_budget)
-        except ValueError:
-            raise _HttpError(
-                400, f"budget must be a number of seconds, got {raw_budget!r}"
-            ) from None
-        if not math.isfinite(budget_s) or budget_s <= 0:
-            raise _HttpError(
-                400, f"budget must be a positive number of seconds, got {raw_budget!r}"
-            )
-        entry, etag = self._ensure_suite(correlation_id)
-        cache_key = ("subset-budget", etag, budget_s)
-        with self._lock:
-            cached = self._derived.get(cache_key)
-        if cached is not None:
-            return cached
-
-        import numpy as np
-
-        from repro.core.pca import fit_pca
+    def _subset_budgeted(self, state: _SuiteState, budget_s: float) -> _Response:
         from repro.errors import SubsetError
-        from repro.subset.select import select_budgeted
+        from repro.subset.select import select_for_suite
 
-        labels = tuple(entry["matrix"]["workloads"])
-        values = np.array(entry["matrix"]["values"], dtype=float)
-        costs = self._workload_costs(entry)
+        costs = self._workload_costs(state.entry)
         try:
-            points = fit_pca(values).scores
-            selection = select_budgeted(points, labels, costs, budget_s)
+            selection = select_for_suite(state.matrix, costs, budget_s)
         except SubsetError as exc:
             raise _HttpError(400, str(exc)) from exc
         except ReproError as exc:
             raise _HttpError(400, f"budgeted subsetting failed: {exc}") from exc
-
         by_name = {cost.workload: cost for cost in costs}
         body = selection.to_dict()
         body["cost_sources"] = {
             pick.workload: by_name[pick.workload].source
             for pick in selection.picks
         }
-        response = _computed(body)
-        with self._lock:
-            self._derived[cache_key] = response
-        return response
+        return _computed(body)
 
     def _observations(self, correlation_id: str | None = None) -> _Response:
         if tuple(w.name for w in self.config.workloads) != tuple(
@@ -876,27 +862,21 @@ class CharacterizationService:
             raise _HttpError(
                 409, "observations need the full 32-workload suite configured"
             )
-        _, etag = self._ensure_suite(correlation_id)
-        cache_key = ("observations", etag)
-        with self._lock:
-            cached = self._derived.get(cache_key)
-        if cached is not None:
-            return cached
+        return self._suite_response(self._observations_scored, None, correlation_id)
 
-        from repro.analysis.experiment import ExperimentConfig, run_experiment
+    def _observations_scored(self, state: _SuiteState, _query) -> _Response:
+        from repro.analysis.experiment import ExperimentConfig, experiment_from_matrix
         from repro.analysis.observations import evaluate_observations
 
-        # The suite is already in the memo/store; this only reruns the
-        # statistics, not the engines.
-        experiment = run_experiment(
+        experiment = experiment_from_matrix(
+            state.matrix,
             ExperimentConfig(
                 collection=self.config.collection,
                 subsetting_seed=self.config.subsetting_seed,
-                cache_dir=str(self.store.root),
-            )
+            ),
         )
         observations = evaluate_observations(experiment)
-        response = _computed(
+        return _computed(
             {
                 "observations": [
                     {
@@ -910,75 +890,42 @@ class CharacterizationService:
                 "holding": sum(1 for o in observations if o.holds),
             }
         )
-        with self._lock:
-            self._derived[cache_key] = response
-        return response
 
-    def _dashboard(self, correlation_id: str | None = None) -> _Response:
+    def _dashboard(self, state: _SuiteState, _query) -> _Response:
         """``/dashboard``: the suite as one self-contained HTML page."""
-        import numpy as np
-
         from repro.analysis.dashboard import render_dashboard
-        from repro.core.dataset import WorkloadMetricMatrix
-        from repro.core.subsetting import subset_workloads
-        from repro.service.store import characterization_from_payload
+        from repro.subset.select import select_for_suite
 
-        entry, etag = self._ensure_suite(correlation_id)
-        cache_key = ("dashboard", etag)
-        with self._lock:
-            cached = self._derived.get(cache_key)
-        if cached is not None:
-            return cached
-
-        characterizations = []
-        for name in entry["workloads"]:
-            payload = self.store.get(
-                workload_store_key(self.config.collection, name), touch=False
-            )
-            if payload is not None:
-                characterizations.append(characterization_from_payload(payload))
-        matrix = WorkloadMetricMatrix(
-            workloads=tuple(entry["matrix"]["workloads"]),
-            values=np.array(entry["matrix"]["values"], dtype=float),
-        )
         subsetting = None
         try:
             subsetting = subset_workloads(
-                matrix, seed=self.config.subsetting_seed
+                state.matrix, seed=self.config.subsetting_seed
             )
         except ReproError:
             pass  # tiny suites can't cluster; the dashboard degrades
         budgeted = None
         try:
-            from repro.core.pca import fit_pca
-            from repro.subset.select import select_budgeted
-
-            costs = self._workload_costs(entry)
-            budgeted = select_budgeted(
-                fit_pca(matrix.values).scores,
-                matrix.workloads,
-                costs,
-                # Default operating point: half the pool's simulation cost.
-                0.5 * sum(cost.seconds for cost in costs),
+            budgeted = select_for_suite(
+                state.matrix, self._workload_costs(state.entry)
             )
         except (ReproError, _HttpError):
             pass  # cost-less stores degrade to the placeholder text
         html = render_dashboard(
-            matrix,
-            characterizations,
+            state.matrix,
+            load_characterizations(
+                self.store, self.config.collection, state.entry["workloads"],
+                touch=False,
+            ),
             subsetting=subsetting,
             title="repro characterization dashboard",
             budgeted=budgeted,
-        )
-        response = _Response(
+        ).encode("utf-8")
+        return _Response(
             200,
-            html.encode("utf-8"),
-            etag=hashlib.sha256(html.encode("utf-8")).hexdigest()[:32],
+            html,
+            etag=hashlib.sha256(html).hexdigest()[:32],
             content_type=_HTML,
         )
-        with self._lock:
-            self._derived[cache_key] = response
-        return response
 
 
 class _Handler(BaseHTTPRequestHandler):

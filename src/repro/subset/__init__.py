@@ -36,6 +36,7 @@ from repro.subset.select import (
     coverage_of,
     greedy_ranking,
     select_budgeted,
+    select_for_suite,
     similarity_matrix,
 )
 
@@ -55,5 +56,6 @@ __all__ = [
     "coverage_of",
     "greedy_ranking",
     "select_budgeted",
+    "select_for_suite",
     "similarity_matrix",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "cost_store_key",
     "persist_costs",
     "load_costs",
+    "median",
 ]
 
 #: Constant-work coefficients of the op-count fallback: seconds of
@@ -140,7 +141,8 @@ def estimate_cost(characterization: WorkloadCharacterization) -> WorkloadCost:
     )
 
 
-def _median(values: list[float]) -> float:
+def median(values: list[float]) -> float:
+    """The middle value (the mean of the middle two for an even count)."""
     ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
@@ -171,7 +173,7 @@ def estimate_costs(
     costs = [estimate_cost(c) for c in characterizations]
     ratios = [c.seconds / c.raw_units for c in costs if c.measured]
     if ratios and any(not c.measured for c in costs):
-        alpha = _median(ratios)
+        alpha = median(ratios)
         costs = [
             c
             if c.measured

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.dataset import WorkloadMetricMatrix
+from repro.core.pca import fit_pca
 from repro.errors import SubsetError
 from repro.obs.metrics import REGISTRY
 from repro.subset.cost import WorkloadCost
@@ -51,6 +53,7 @@ __all__ = [
     "coverage_of",
     "greedy_ranking",
     "select_budgeted",
+    "select_for_suite",
 ]
 
 _SUBSET_COVERAGE = REGISTRY.gauge(
@@ -317,3 +320,20 @@ def select_budgeted(
     _SUBSET_COST.set(selection.cost_s)
     _SUBSET_BUDGET.set(budget_s)
     return selection
+
+
+def select_for_suite(
+    matrix: WorkloadMetricMatrix,
+    costs: tuple[WorkloadCost, ...],
+    budget_s: float | None = None,
+) -> BudgetedSelection:
+    """Budgeted selection over a suite matrix's PC scores.
+
+    ``budget_s=None`` is the default operating point: half the pool's
+    simulation cost.
+    """
+    if budget_s is None:
+        budget_s = 0.5 * sum(cost.seconds for cost in costs)
+    return select_budgeted(
+        fit_pca(matrix.values).scores, matrix.workloads, costs, budget_s
+    )

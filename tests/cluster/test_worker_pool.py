@@ -12,6 +12,7 @@ Three guarantees beyond bit-identity (which
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.cluster.collection import (
 from repro.cluster.pool import LazyWorkloadCharacterization, shutdown_pools
 from repro.cluster.testbed import MeasurementConfig
 from repro.errors import CollectionCancelled, StoreError, WorkerPoolError
+from repro.obs.timeline import TimelineConfig
 from repro.service.store import ResultStore
 from repro.workloads.suite import SUITE
 
@@ -176,6 +178,39 @@ class TestPoolIdentity:
         assert old_pool.closed
         (new_key,) = pool_mod._POOLS
         assert new_key != old_key
+
+
+    def test_pool_follows_fields_outside_the_cache_key(self):
+        """``max_run_samples`` is not part of ``cache_key()``: a pool
+        built for one value must not collect for another."""
+        for max_run_samples in (512, 4):
+            config = replace(
+                tiny_config(),
+                timeline=TimelineConfig(
+                    interval_ms=0.0, max_run_samples=max_run_samples
+                ),
+            )
+            pooled = characterize_suite(SUITE[:2], config, workers=2)
+            collection._MEMO.clear()
+            serial = characterize_suite(SUITE[:2], config, workers=1)
+            collection._MEMO.clear()
+            for fast, slow in zip(
+                pooled.characterizations, serial.characterizations
+            ):
+                assert _clockless(fast.timeline) == _clockless(slow.timeline)
+                assert len(fast.timeline.run_samples) <= 2 * max_run_samples
+
+
+def _clockless(series) -> list[dict]:
+    """A timeline without its wall-clock parts.  Which run samples
+    survive decimation depends on their wall-clock spacing, so of those
+    only the final state is kept."""
+    kept = [s for s in series.samples if s["source"] != "run"]
+    kept.append(series.run_samples[-1])
+    return [
+        {key: value for key, value in sample.items() if key not in ("t_ms", "seq")}
+        for sample in kept
+    ]
 
 
 class TestTwoPhasePut:

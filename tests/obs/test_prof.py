@@ -141,6 +141,25 @@ def test_profiler_lifecycle_errors():
         profiler.stop()
 
 
+def test_a_tick_inside_a_tick_is_dropped(monkeypatch):
+    """A tick that fires while another samples (a garbage-collector
+    callback inside ``sys._current_frames()``) must not sample again:
+    the outer tick holds the lock the inner one would wait on."""
+    import repro.obs.prof as prof
+
+    class Reentrant:
+        calls = 0
+
+        def _sample(self, signal_frame=None):
+            Reentrant.calls += 1
+            prof._on_tick(signal_module.SIGALRM, signal_frame)
+
+    monkeypatch.setattr(prof, "_ACTIVE", Reentrant())
+    prof._on_tick(signal_module.SIGALRM, None)
+    prof._on_tick(signal_module.SIGALRM, None)
+    assert Reentrant.calls == 2  # one sample per outer tick, none nested
+
+
 def test_characterization_is_bit_identical_under_the_profiler():
     """The acceptance invariant: sampling observes, never perturbs."""
     workload = workload_by_name("H-WordCount")

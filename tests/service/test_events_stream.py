@@ -10,10 +10,12 @@ Two layers:
 """
 
 import http.client
+import importlib.util
 import json
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,13 @@ from repro.obs.timeline import TimelineConfig
 from repro.service.client import CORRELATION_HEADER, ServiceClient
 from repro.service.server import ServiceConfig, serve
 from repro.workloads.suite import SUITE
+
+_spec = importlib.util.spec_from_file_location(
+    "check_dashboard",
+    Path(__file__).resolve().parents[2] / "tools" / "check_dashboard.py",
+)
+check_dashboard = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_dashboard)
 
 FAST = CollectionConfig(
     scale=0.2,
@@ -143,6 +152,11 @@ class TestEventStream:
         assert html_doc.startswith("<!DOCTYPE html>")
         assert "<script" not in html_doc
         assert "http://" not in html_doc.split("<body", 1)[1]
+        # The auditor CI runs on `repro report`'s page, one timeline
+        # chart per workload.
+        assert check_dashboard.check_dashboard(
+            html_doc, min_svgs=len(SUITE[:4])
+        ) == []
 
 
 # -- wait_for_job unit paths against a stub server ----------------------------

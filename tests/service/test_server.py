@@ -14,6 +14,7 @@ Includes the two service-level acceptance proofs:
 import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -21,14 +22,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import collection
 from repro.cluster.collection import (
     CollectionConfig,
+    characterize_suite,
     collection_runs,
+    suite_store_key,
     workload_store_key,
 )
 from repro.cluster.testbed import MeasurementConfig
 from repro.metrics.catalog import METRIC_NAMES
-from repro.service.server import ServiceConfig, serve
+from repro.service.server import CharacterizationService, ServiceConfig, serve
+from repro.service.store import ResultStore
+from repro.subset.cost import cost_store_key
 from repro.workloads.suite import SUITE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -352,3 +358,92 @@ class TestCrossProcessRoundTrip:
         finally:
             server.shutdown()
             server.service.close()
+
+
+class TestSuiteDerivedResponses:
+    def test_evicted_workload_costs_the_median_of_its_peers(self, server):
+        """Without a cost table, a workload whose per-workload entry was
+        evicted is priced at the median of its peers (source "median")."""
+        service, port = server[0].service, server[1]
+        assert _get(port, "/subset?budget=1e9")[0] == 200  # suite stored
+        suite_key = suite_store_key(FAST, SUITE[:6])
+        evicted = SUITE[5].name
+        wkey = workload_store_key(FAST, evicted)
+        payload = service.store.get(wkey)
+        service.store.remove(wkey)
+        service.store.remove(cost_store_key(suite_key))
+        try:
+            status, _, body = _get(port, "/subset?budget=5e8")
+            assert status == 200
+            selection = json.loads(body)
+            assert selection["cost_sources"][evicted] == "median"
+            assert {
+                name for name, source in selection["cost_sources"].items()
+                if source == "median"
+            } == {evicted}
+            costs = {row["workload"]: row["cost_s"] for row in selection["selected"]}
+            peers = [cost for name, cost in costs.items() if name != evicted]
+            assert costs[evicted] == statistics.median(peers)
+        finally:
+            service.store.put(wkey, payload)
+            service.store.remove(cost_store_key(suite_key))
+
+    def test_query_responses_bounded_and_dropped_with_their_etag(self, server):
+        """Distinct ?budget= values must not grow the derived-response
+        cache without bound, and a new suite ETag drops the old one's."""
+        from repro.service.server import _MAX_QUERY_RESPONSES
+
+        service = CharacterizationService(server[0].service.config)
+        try:
+            first = service.handle_get("/subset", {"budget": ["1e7"]})
+            for i in range(1, _MAX_QUERY_RESPONSES + 10):
+                service.handle_get("/subset", {"budget": [f"{1e7 + i}"]})
+            service.handle_get("/suite/matrix", {})
+            state = service._suite
+            queried = [key for key in state.responses if key[1] is not None]
+            assert len(queried) == _MAX_QUERY_RESPONSES
+            assert len(state.responses) == len(queried) + 1  # + the matrix
+            again = service.handle_get("/subset", {"budget": ["1e7"]})
+            assert again is not first  # the oldest was dropped ...
+            assert again.body == first.body  # ... and recomputes the same
+
+            suite_key = suite_store_key(FAST, SUITE[:6])
+            entry = service.store.get(suite_key, touch=False)
+            service.store.put(suite_key, {**entry, "rewritten": True})
+            try:
+                service.handle_get("/suite/matrix", {})
+                assert service._suite is not state
+                assert len(service._suite.responses) == 1  # the matrix only
+            finally:
+                service.store.put(suite_key, entry)
+        finally:
+            service.close()
+
+
+class TestObservationsFromStore:
+    def test_evicted_workload_entry_does_not_collect(self, tmp_path):
+        """/observations derives from the stored suite matrix: a missing
+        per-workload entry must not start a collection on the handler
+        thread, outside the job manager."""
+        config = CollectionConfig(
+            scale=0.1,
+            seed=13,
+            measurement=MeasurementConfig(
+                slaves_measured=1, active_cores=2, ops_per_core=500,
+                perf_repeats=2,
+            ),
+        )
+        characterize_suite(SUITE, config, cache_dir=tmp_path)
+        collection._MEMO.pop(suite_store_key(config, SUITE))
+        ResultStore(tmp_path).remove(workload_store_key(config, SUITE[3].name))
+        service = CharacterizationService(
+            ServiceConfig(collection=config, cache_dir=str(tmp_path))
+        )
+        try:
+            runs_before = collection_runs()
+            response = service.handle_get("/observations", {})
+            assert response.status == 200
+            assert len(json.loads(response.body)["observations"]) == 9
+            assert collection_runs() == runs_before
+        finally:
+            service.close()
