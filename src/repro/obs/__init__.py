@@ -32,8 +32,7 @@ shared store directory, merged at scrape time into one fleet-wide
 trace.  :mod:`repro.obs.prof` is the continuous-profiling plane built
 on both: a statistical stack sampler whose samples are attributed to
 the live span path, spilled per process and merged into one fleet
-profile (``GET /profile``, ``repro profile``).  :mod:`repro.obs.ledger`
-keeps the perf-regression ledger the bench tools append to.
+profile (``GET /profile``, ``repro profile``).
 """
 
 from repro.obs.fleet import ShardWriter, fleet_status, merge_traces, read_live_shards

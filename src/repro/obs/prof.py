@@ -70,7 +70,6 @@ __all__ = [
     "request_profile",
     "current_request",
     "spill_profile",
-    "load_profile_doc",
     "read_profile_docs",
     "gc_stale_profiles",
     "collect_fleet_profile",
@@ -702,11 +701,6 @@ def spill_profile(root: str | Path, doc: dict) -> Path | None:
         "Profile sampling windows this process has served",
     ).inc()
     return spills.path_of(stem)
-
-
-def load_profile_doc(path: Path) -> dict | None:
-    """Parse one profile spill; torn/foreign/request files -> ``None``."""
-    return _profile_spills(path.parent).load(path)
 
 
 def read_profile_docs(

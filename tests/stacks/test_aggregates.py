@@ -1,5 +1,8 @@
 """Direct tests of the shared partial-aggregation state machines."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,3 +84,54 @@ class TestMergeLaws:
         assert finalize_state(func, with_identity) == pytest.approx(
             finalize_state(func, state), rel=1e-12, abs=1e-12
         )
+
+
+_FLOAT_COLUMN = st.lists(
+    st.floats(
+        min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _partitioned_fold(func: AggFunc, values, data):
+    """Fold a shuffled column in random partitions, then merge the partial
+    states in a random order — any plan a combiner or reduceByKey may take."""
+    shuffled = data.draw(st.permutations(values))
+    cuts = sorted(
+        data.draw(st.sets(st.integers(1, max(1, len(shuffled) - 1)), max_size=5))
+    )
+    bounds = [0, *[c for c in cuts if c < len(shuffled)], len(shuffled)]
+    states = [_fold(func, shuffled[a:b]) for a, b in zip(bounds, bounds[1:])]
+    while len(states) > 1:
+        i = data.draw(st.integers(0, len(states) - 2))
+        states[i : i + 2] = [merge_states(func, states[i], states[i + 1])]
+    return finalize_state(func, states[0])
+
+
+class TestExactTotals:
+    """SUM and AVG are exact, so no partition or merge order moves them."""
+
+    @given(values=_FLOAT_COLUMN, data=st.data())
+    def test_float_sum_is_fsum_under_any_merge_order(self, values, data):
+        expected = math.fsum(values)
+        assert finalize_state(AggFunc.SUM, _fold(AggFunc.SUM, values)) == expected
+        assert _partitioned_fold(AggFunc.SUM, values, data) == expected
+
+    @given(values=_FLOAT_COLUMN, data=st.data())
+    def test_float_avg_is_the_rounded_exact_mean_under_any_merge_order(
+        self, values, data
+    ):
+        expected = float(sum(map(Fraction, values)) / len(values))
+        assert finalize_state(AggFunc.AVG, _fold(AggFunc.AVG, values)) == expected
+        assert _partitioned_fold(AggFunc.AVG, values, data) == expected
+
+    @given(
+        values=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_int_sum_stays_an_int(self, values, data):
+        total = _partitioned_fold(AggFunc.SUM, values, data)
+        assert type(total) is int
+        assert total == sum(values)

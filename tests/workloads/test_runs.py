@@ -77,3 +77,13 @@ def test_iterative_workloads_chain_jobs():
     # One SETUP record per chained MapReduce job (4 iterations).
     setups = run.trace.by_kind(PhaseKind.SETUP)
     assert len(setups) >= 4
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", ["H-Aggregation", "S-Aggregation", "S-AggQuery"])
+def test_float_aggregates_match_the_reference_at_full_scale(name, seed):
+    """At scale 1.0 the combiners merge float SUM/AVG partials in another
+    order than the reference's row fold; the totals must still agree
+    exactly."""
+    run = workload_by_name(name).run(RunContext(scale=1.0, seed=seed))
+    assert run.checks["matches_reference"] == 1.0

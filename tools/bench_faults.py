@@ -37,7 +37,6 @@ from dataclasses import replace  # noqa: E402
 from repro.cluster.testbed import Cluster, MeasurementConfig  # noqa: E402
 from repro.errors import StackExecutionError  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
-from repro.obs.ledger import append_record  # noqa: E402
 from repro.obs.stats import Stopwatch, summarize  # noqa: E402
 from repro.stacks.base import stable_hash  # noqa: E402
 from repro.workloads import RunContext, workload_by_name  # noqa: E402
@@ -156,11 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_faults.json"),
         help="output JSON path (skipped in --check mode)",
     )
-    parser.add_argument(
-        "--history",
-        default=str(REPO_ROOT / "benchmarks" / "history.jsonl"),
-        help="perf-regression ledger appended to in --check mode",
-    )
     args = parser.parse_args(argv)
 
     results = run_benchmark(check=args.check)
@@ -175,19 +169,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append("metrics drifted under a recoverable fault plan")
         if results["total_injected"] == 0:
             failures.append("no faults injected — the check was vacuous")
-        append_record(
-            args.history,
-            bench="faults",
-            headline={
-                "overhead_ratio": results["overhead_ratio"],
-                "total_injected": results["total_injected"],
-                "clean_seconds": results["clean_seconds"],
-                "faulty_seconds": results["faulty_seconds"],
-            },
-            status="fail" if failures else "pass",
-            failures=failures,
-        )
-        print(f"ledger record appended to {args.history}")
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1 if failures else 0

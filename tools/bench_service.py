@@ -47,7 +47,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster.collection import CollectionConfig  # noqa: E402
 from repro.cluster.testbed import MeasurementConfig  # noqa: E402
-from repro.obs.ledger import append_record  # noqa: E402
 from repro.obs.stats import Stopwatch, summarize  # noqa: E402
 from repro.service.claims import ClaimRegistry  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
@@ -331,11 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_service.json"),
         help="output JSON path",
     )
-    parser.add_argument(
-        "--history",
-        default=str(REPO_ROOT / "benchmarks" / "history.jsonl"),
-        help="perf-regression ledger appended to in --check mode",
-    )
     args = parser.parse_args(argv)
 
     requests = 400 if args.smoke and args.requests == 2000 else args.requests
@@ -351,20 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out_path}")
     if args.check:
         failures = check(results)
-        append_record(
-            args.history,
-            bench="service",
-            headline={
-                "warm_matrix_req_per_s": results["warm_matrix_req_per_s"],
-                "cold_matrix_seconds": results["cold_matrix_seconds"],
-                "duplicate_collections": results["duplicate_collections"],
-                "serve_workers": results["serve_workers"],
-                "clients": results["clients"],
-            },
-            status="fail" if failures else "pass",
-            failures=failures,
-        )
-        print(f"  [check] ledger record appended to {args.history}")
         for failure in failures:
             print(f"  [check] FAIL: {failure}")
         if failures:

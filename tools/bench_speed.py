@@ -59,15 +59,6 @@ from repro.arch.processor import Processor  # noqa: E402
 from repro.cluster import collection  # noqa: E402
 from repro.cluster.collection import CollectionConfig, characterize_suite  # noqa: E402
 from repro.cluster.testbed import Cluster, MeasurementConfig  # noqa: E402
-from repro.obs.ledger import (  # noqa: E402
-    append_record,
-    baseline_for,
-    diff_records,
-    format_diff,
-    load_history,
-    profile_digest,
-)
-from repro.obs.prof import Profiler  # noqa: E402
 from repro.obs.stats import Stopwatch, best_of  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.obs.trace import Tracer, span, tracing  # noqa: E402
@@ -415,42 +406,6 @@ def run_benchmark(workers: int, smoke: bool) -> dict:
     }
 
 
-def _profiled_pass_digest() -> dict:
-    """A span-attributed profile digest of one traced hot-path pass.
-
-    Uses the *thread* clock deliberately: the bench must not install
-    signal handlers (it may be embedded under pytest), and a single
-    CPU-bound pass gives the wall sampler plenty of busy samples.  The
-    digest rides on the ledger record so a future failing run can name
-    the frames that grew, not just the number that dropped.
-    """
-    profiles = _workload_profiles()
-    tracer = Tracer()
-    profiler = Profiler(clock="thread", interval_ms=2.0).start()
-    try:
-        with tracing(tracer), tracer.span("bench:speed:single-thread"):
-            processor = Processor()
-            rng = np.random.default_rng(1234)
-            processor.run_workload(
-                profiles, rng, active_cores=3, ops_per_core=4000
-            )
-    finally:
-        doc = profiler.stop()
-    return profile_digest(doc)
-
-
-def _ledger_headline(results: dict) -> dict:
-    return {
-        "single_thread_speedup": results["single_thread"]["speedup_vs_seed"],
-        "single_thread_seconds": results["single_thread"]["bench_seconds"],
-        "engine_batched_speedup": results["engine"]["batched_speedup"],
-        "parallel_speedup": results["collection"]["parallel_speedup"],
-        "tracing_overhead_pct": results["tracing"]["overhead_pct"],
-        "tracing_noop_span_ns": results["tracing"]["noop_span_ns"],
-        "timeline_overhead_pct": results["timeline"]["overhead_pct"],
-    }
-
-
 def check_results(results: dict) -> list[str]:
     """The ``--check`` regression gate; returns human-readable failures.
 
@@ -509,11 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_speed.json"),
         help="output JSON path",
     )
-    parser.add_argument(
-        "--history",
-        default=str(REPO_ROOT / "benchmarks" / "history.jsonl"),
-        help="perf-regression ledger appended to in --check mode",
-    )
     args = parser.parse_args(argv)
 
     results = run_benchmark(workers=args.workers, smoke=args.smoke)
@@ -523,30 +473,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         failures = check_results(results)
-        print("profiling one traced hot-path pass for the ledger ...")
-        try:
-            digest = _profiled_pass_digest()
-        except Exception as error:  # the ledger must never fail the gate
-            print(f"  profile digest skipped: {error}", file=sys.stderr)
-            digest = None
-        record = append_record(
-            args.history,
-            bench="speed",
-            headline=_ledger_headline(results),
-            status="fail" if failures else "pass",
-            failures=failures,
-            profile=digest,
-        )
-        print(f"ledger: appended {record['status']} record to {args.history}")
         if failures:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)
-            baseline = baseline_for(load_history(args.history), record)
-            if baseline is not None:
-                print(
-                    format_diff(diff_records(baseline, record)),
-                    file=sys.stderr,
-                )
             return 1
         print("all regression checks passed")
     return 0

@@ -37,7 +37,6 @@ from repro.cluster.collection import CollectionConfig, characterize_suite  # noq
 from repro.cluster.testbed import MeasurementConfig  # noqa: E402
 from repro.core.pca import fit_pca  # noqa: E402
 from repro.core.subsetting import subset_workloads  # noqa: E402
-from repro.obs.ledger import append_record  # noqa: E402
 from repro.obs.stats import Stopwatch  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.subset import estimate_costs, evaluate_sweep  # noqa: E402
@@ -128,11 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_subset.json"),
         help="output JSON path (skipped in --check mode)",
     )
-    parser.add_argument(
-        "--history",
-        default=str(REPO_ROOT / "benchmarks" / "history.jsonl"),
-        help="perf-regression ledger appended to in --check mode",
-    )
     args = parser.parse_args(argv)
 
     results = run_benchmark(smoke=args.smoke)
@@ -161,20 +155,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 "no measured costs — the timeline cost model was vacuous"
             )
-        append_record(
-            args.history,
-            bench="subset",
-            headline={
-                "mean_coverage_lift": summary["mean_coverage_lift"],
-                "n_swept": summary["n_swept"],
-                "collect_seconds": results["collect_seconds"],
-                "sweep_seconds": results["sweep_seconds"],
-                "measured_costs": results["measured_costs"],
-            },
-            status="fail" if failures else "pass",
-            failures=failures,
-        )
-        print(f"ledger record appended to {args.history}")
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1 if failures else 0

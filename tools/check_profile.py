@@ -16,12 +16,21 @@ Then asserts the profiling contracts end to end:
    the sampling window.
 
 The merged document is written to ``--out`` (default ``profile.json``)
-so the CI job can re-validate it with ``tools/check_perf_history.py
---validate`` and archive it as an artifact.
+so the CI job can re-validate it standalone with ``--validate`` and
+archive it as an artifact.
 
 Usage::
 
     python tools/check_profile.py [--seconds 3] [--out profile.json]
+
+    # Re-validate a saved profile document without booting a fleet:
+    python tools/check_profile.py --validate profile.json \\
+        --min-samples 200 --min-span-fraction 0.9
+
+Validate mode runs :func:`repro.obs.prof.validate_profile` over the
+file: structural checks (schema, stack counts summing to the sample
+total) plus the sample and busy-sample span-attribution floors, which
+default to 1 sample and no attribution floor there.
 
 Exits 0 when every gate holds, 1 with diagnostics otherwise.
 """
@@ -154,6 +163,34 @@ def run_gate(
     return problems
 
 
+def validate_file(path: str, min_samples: int, min_span_fraction) -> int:
+    """Re-validate a saved profile document; the exit code of ``--validate``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as error:
+        print(f"FAIL: cannot read {path}: {error}", file=sys.stderr)
+        return 1
+    problems = validate_profile(
+        doc, min_samples=min_samples, min_span_fraction=min_span_fraction
+    )
+    stats = attribution(doc)
+    processes = doc.get("processes") or []
+    print(
+        f"{path}: {doc.get('samples', 0)} samples from "
+        f"{len(processes)} process(es); span attribution "
+        f"{stats['fraction']:.1%} of busy samples "
+        f"({stats['attributed']} attributed, {stats['untracked']} "
+        f"untracked, {stats['idle']} idle)"
+    )
+    if problems:
+        for problem in problems:
+            print(f"FAIL: {problem}", file=sys.stderr)
+        return 1
+    print("profile valid")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -164,24 +201,37 @@ def main(argv: list[str] | None = None) -> int:
         help="sampling period in milliseconds (default: %(default)s)",
     )
     parser.add_argument(
-        "--min-samples", type=int, default=200,
-        help="floor on merged sample count (default: %(default)s)",
+        "--min-samples", type=int, default=None,
+        help="floor on merged sample count (default: 200, or 1 with "
+        "--validate)",
     )
     parser.add_argument(
-        "--min-span-fraction", type=float, default=0.9,
-        help="floor on busy-sample span attribution (default: %(default)s)",
+        "--min-span-fraction", type=float, default=None,
+        help="floor on busy-sample span attribution (default: 0.9, or "
+        "none with --validate)",
     )
     parser.add_argument(
         "--out", default="profile.json",
         help="write the merged profile document here (default: %(default)s)",
     )
+    parser.add_argument(
+        "--validate", default=None, metavar="PROFILE_JSON",
+        help="validate a saved profile document instead of running the "
+        "fleet gate",
+    )
     args = parser.parse_args(argv)
+    if args.validate is not None:
+        return validate_file(
+            args.validate,
+            1 if args.min_samples is None else args.min_samples,
+            args.min_span_fraction,
+        )
 
     problems = run_gate(
         args.seconds,
         args.interval,
-        args.min_samples,
-        args.min_span_fraction,
+        200 if args.min_samples is None else args.min_samples,
+        0.9 if args.min_span_fraction is None else args.min_span_fraction,
         args.out,
     )
     if problems:
