@@ -10,7 +10,6 @@ instrumentation layer synthesises from engine activity.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,8 +139,10 @@ class CacheStats:
 class SetAssociativeCache:
     """A write-back, write-allocate set-associative cache with true LRU.
 
-    Each set is an :class:`collections.OrderedDict` mapping line address to
-    a dirty bit, ordered from least to most recently used.
+    Each set is a plain ``dict`` mapping line address to a dirty bit.  Its
+    insertion order is the recency order, least recently used first: a hit
+    re-inserts the key (``d[k] = d.pop(k)``), a fill appends it, and an
+    eviction removes the first key (``next(iter(d))``).
     """
 
     __slots__ = (
@@ -167,15 +168,13 @@ class SetAssociativeCache:
         self._line_shift = config.line_size.bit_length() - 1
         self._assoc = config.associativity
         self._write_back = config.write_back
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
 
     def line_address(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
         return addr >> self._line_shift
 
-    def _set_for(self, line_addr: int) -> OrderedDict[int, bool]:
+    def _set_for(self, line_addr: int) -> dict[int, bool]:
         mask = self._set_mask
         return self._sets[line_addr & mask if mask else line_addr % self._num_sets]
 
@@ -205,7 +204,7 @@ class SetAssociativeCache:
         stats = self.stats
         if line in cache_set:
             stats.hits += 1
-            cache_set.move_to_end(line)
+            cache_set[line] = cache_set.pop(line)
             if is_write:
                 cache_set[line] = True
             return ACCESS_HIT
@@ -213,7 +212,7 @@ class SetAssociativeCache:
         return self.fill_miss(cache_set, line, is_write)
 
     def fill_miss(
-        self, cache_set: OrderedDict[int, bool], line: int, is_write: bool
+        self, cache_set: dict[int, bool], line: int, is_write: bool
     ) -> int:
         """Complete a demand miss: account stats, evict, fill ``line``.
 
@@ -229,7 +228,8 @@ class SetAssociativeCache:
         stats.misses += 1
         packed = 0
         if len(cache_set) >= self._assoc:
-            evicted_line, evicted_dirty = cache_set.popitem(last=False)
+            evicted_line = next(iter(cache_set))
+            evicted_dirty = cache_set.pop(evicted_line)
             stats.evictions += 1
             packed = ACCESS_EVICTED | (evicted_line << ACCESS_VICTIM_SHIFT)
             if evicted_dirty and self._write_back:
@@ -251,10 +251,10 @@ class SetAssociativeCache:
             line_addr & mask if mask else line_addr % self._num_sets
         ]
         if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
+            cache_set[line_addr] = cache_set.pop(line_addr)
             return
         if len(cache_set) >= self._assoc:
-            cache_set.popitem(last=False)
+            del cache_set[next(iter(cache_set))]
         cache_set[line_addr] = False
 
     def install_span(self, first_line: int, count: int) -> None:
@@ -300,19 +300,19 @@ class SetAssociativeCache:
                 cache_set = sets[index]
                 for line in range(top, first_line - 1, -num_sets):
                     if line in cache_set:
-                        cache_set.move_to_end(line)
+                        cache_set[line] = cache_set.pop(line)
                     else:
                         if len(cache_set) >= assoc:
-                            cache_set.popitem(last=False)
+                            del cache_set[next(iter(cache_set))]
                         cache_set[line] = False
             return
         for line in range(first_line + count - 1, first_line - 1, -1):
             cache_set = sets[line & mask if mask else line % num_sets]
             if line in cache_set:
-                cache_set.move_to_end(line)
+                cache_set[line] = cache_set.pop(line)
                 continue
             if len(cache_set) >= assoc:
-                cache_set.popitem(last=False)
+                del cache_set[next(iter(cache_set))]
             cache_set[line] = False
 
     def contains(self, addr: int) -> bool:

@@ -73,28 +73,27 @@ def _prefetch_pair(
     """
     offcore = 0
     for ahead in (line + 1, line + 2):
-        a_set = l2_sets[ahead & l2_mask]
-        if ahead not in a_set:
-            offcore += 1
         d_set = l1d_sets[ahead & l1d_mask]
         if ahead in d_set:
-            d_set.move_to_end(ahead)
+            d_set[ahead] = d_set.pop(ahead)
         else:
             if len(d_set) >= l1d_assoc:
-                d_set.popitem(last=False)
+                del d_set[next(iter(d_set))]
             d_set[ahead] = False
+        a_set = l2_sets[ahead & l2_mask]
         if ahead in a_set:
-            a_set.move_to_end(ahead)
+            a_set[ahead] = a_set.pop(ahead)
         else:
+            offcore += 1
             if len(a_set) >= l2_assoc:
-                a_set.popitem(last=False)
+                del a_set[next(iter(a_set))]
             a_set[ahead] = False
         a_set = l3_sets[ahead % l3_nsets]
         if ahead in a_set:
-            a_set.move_to_end(ahead)
+            a_set[ahead] = a_set.pop(ahead)
         else:
             if len(a_set) >= l3_assoc:
-                a_set.popitem(last=False)
+                del a_set[next(iter(a_set))]
             a_set[ahead] = False
     return offcore
 
@@ -316,9 +315,9 @@ class CoreModel:
         # * Only fetches touch the ITLB-L1 and only loads/stores touch
         #   the DTLB-L1, so after any access to page P that page is MRU
         #   in its L1 and a repeat access is a guaranteed hit whose
-        #   move_to_end is a no-op — one compare replaces two dict probes
-        #   (elided fetches are same-line, hence same-page, preserving
-        #   the invariant).
+        #   re-insert would leave the key order as it is — one compare
+        #   replaces the set probe and the re-insert (elided fetches are
+        #   same-line, hence same-page, preserving the invariant).
         # * After any data access to line L, L is MRU in the L1D, so a
         #   load immediately repeating the line is a pure counter bump.
         #   (Stores never take it: the dirty bit and directory state
@@ -344,31 +343,31 @@ class CoreModel:
                 else:
                     tlb_set = itlb_sets[fpage & itlb_mask]
                     if fpage in tlb_set:
-                        tlb_set.move_to_end(fpage)
+                        tlb_set[fpage] = tlb_set.pop(fpage)
                         itlb_l1_hits += 1
                     else:
                         stlb_set = stlb_sets[fpage & stlb_mask]
                         if fpage in stlb_set:
-                            stlb_set.move_to_end(fpage)
+                            stlb_set[fpage] = stlb_set.pop(fpage)
                             itlb_stlb_hits += 1
                         else:
                             itlb_walks += 1
                             if len(stlb_set) >= stlb_assoc:
-                                stlb_set.popitem(last=False)
+                                del stlb_set[next(iter(stlb_set))]
                             stlb_set[fpage] = None
                         if len(tlb_set) >= itlb_assoc:
-                            tlb_set.popitem(last=False)
+                            del tlb_set[next(iter(tlb_set))]
                         tlb_set[fpage] = None
                     last_ipage = fpage
                 cache_set = l1i_sets[fline & l1i_mask]
                 if fline in cache_set:
                     l1i_hits += 1
-                    cache_set.move_to_end(fline)
+                    cache_set[fline] = cache_set.pop(fline)
                     hit = True
                 else:
                     l1i_misses += 1
                     if len(cache_set) >= l1i_assoc:
-                        cache_set.popitem(last=False)
+                        del cache_set[next(iter(cache_set))]
                         l1i_evictions += 1
                     cache_set[fline] = False
                     hit = False
@@ -377,37 +376,38 @@ class CoreModel:
                     ahead = fline + 1
                     a_set = l1i_sets[ahead & l1i_mask]
                     if ahead in a_set:
-                        a_set.move_to_end(ahead)
+                        a_set[ahead] = a_set.pop(ahead)
                     else:
                         if len(a_set) >= l1i_assoc:
-                            a_set.popitem(last=False)
+                            del a_set[next(iter(a_set))]
                         a_set[ahead] = False
                     a_set = l2_sets[ahead & l2_mask]
                     if ahead in a_set:
-                        a_set.move_to_end(ahead)
+                        a_set[ahead] = a_set.pop(ahead)
                     else:
                         if len(a_set) >= l2_assoc:
-                            a_set.popitem(last=False)
+                            del a_set[next(iter(a_set))]
                         a_set[ahead] = False
                     a_set = l3_sets[ahead % l3_nsets]
                     if ahead in a_set:
-                        a_set.move_to_end(ahead)
+                        a_set[ahead] = a_set.pop(ahead)
                     else:
                         if len(a_set) >= l3_assoc:
-                            a_set.popitem(last=False)
+                            del a_set[next(iter(a_set))]
                         a_set[ahead] = False
                 last_fetch_line = fline
                 if not hit:
                     l2_set = l2_sets[fline & l2_mask]
                     if fline in l2_set:
-                        l2_set.move_to_end(fline)
+                        l2_set[fline] = l2_set.pop(fline)
                         l2_hits += 1
                         icache_l2_hits += 1
                     else:
                         l2_misses += 1
                         offcore_code += 1
                         if len(l2_set) >= l2_assoc:
-                            victim, vdirty = l2_set.popitem(last=False)
+                            victim = next(iter(l2_set))
+                            vdirty = l2_set.pop(victim)
                             l2_evictions += 1
                             if vdirty:
                                 l2_writebacks += 1
@@ -425,13 +425,13 @@ class CoreModel:
                         l3_set = l3_sets[fline % l3_nsets]
                         if fline in l3_set:
                             l3_stat_hits += 1
-                            l3_set.move_to_end(fline)
+                            l3_set[fline] = l3_set.pop(fline)
                             icache_l3_hits += 1
                             l3_hits += 1
                         else:
                             l3_stat_misses += 1
                             if len(l3_set) >= l3_assoc:
-                                victim, vdirty = l3_set.popitem(last=False)
+                                vdirty = l3_set.pop(next(iter(l3_set)))
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
@@ -441,8 +441,9 @@ class CoreModel:
             if code == 0:  # EV_LOAD
                 if line == last_mline:
                     # Repeat of the previous data line: guaranteed L1D
-                    # hit (MRU, move_to_end no-op), same page, tracker
-                    # value unchanged, no prefetch trigger.
+                    # hit (already MRU, so the re-insert changes
+                    # nothing), same page, tracker value unchanged, no
+                    # prefetch trigger.
                     l1d_hits += 1
                     dtlb_l1_hits += 1
                     continue
@@ -476,29 +477,30 @@ class CoreModel:
                         trackers.pop(next(iter(trackers)))
                     tlb_set = dtlb_sets[page4k & dtlb_mask]
                     if page4k in tlb_set:
-                        tlb_set.move_to_end(page4k)
+                        tlb_set[page4k] = tlb_set.pop(page4k)
                         dtlb_l1_hits += 1
                     else:
                         stlb_set = stlb_sets[page4k & stlb_mask]
                         if page4k in stlb_set:
-                            stlb_set.move_to_end(page4k)
+                            stlb_set[page4k] = stlb_set.pop(page4k)
                             dtlb_stlb_hits += 1
                         else:
                             dtlb_walks += 1
                             if len(stlb_set) >= stlb_assoc:
-                                stlb_set.popitem(last=False)
+                                del stlb_set[next(iter(stlb_set))]
                             stlb_set[page4k] = None
                         if len(tlb_set) >= dtlb_assoc:
-                            tlb_set.popitem(last=False)
+                            del tlb_set[next(iter(tlb_set))]
                         tlb_set[page4k] = None
                 cache_set = l1d_sets[line & l1d_mask]
                 if line in cache_set:
                     l1d_hits += 1
-                    cache_set.move_to_end(line)
+                    cache_set[line] = cache_set.pop(line)
                     continue
                 l1d_misses += 1
                 if len(cache_set) >= l1d_assoc:
-                    victim, vdirty = cache_set.popitem(last=False)
+                    victim = next(iter(cache_set))
+                    vdirty = cache_set.pop(victim)
                     l1d_evictions += 1
                     if vdirty:
                         l1d_writebacks += 1
@@ -519,14 +521,15 @@ class CoreModel:
                     continue
                 l2_set = l2_sets[line & l2_mask]
                 if line in l2_set:
-                    l2_set.move_to_end(line)
+                    l2_set[line] = l2_set.pop(line)
                     load_hit_l2 += 1
                     l2_hits += 1
                     continue
                 l2_misses += 1
                 offcore_data += 1
                 if len(l2_set) >= l2_assoc:
-                    victim, vdirty = l2_set.popitem(last=False)
+                    victim = next(iter(l2_set))
+                    vdirty = l2_set.pop(victim)
                     l2_evictions += 1
                     if vdirty:
                         l2_writebacks += 1
@@ -563,11 +566,11 @@ class CoreModel:
                         l3_set = l3_sets[line % l3_nsets]
                         if line in l3_set:
                             l3_stat_hits += 1
-                            l3_set.move_to_end(line)
+                            l3_set[line] = l3_set.pop(line)
                         else:
                             l3_stat_misses += 1
                             if len(l3_set) >= l3_assoc:
-                                victim, vdirty = l3_set.popitem(last=False)
+                                vdirty = l3_set.pop(next(iter(l3_set)))
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
@@ -577,14 +580,14 @@ class CoreModel:
                 push_tick(tick)
                 if line in l3_set:
                     l3_stat_hits += 1
-                    l3_set.move_to_end(line)
+                    l3_set[line] = l3_set.pop(line)
                     load_hit_l3 += 1
                     l3_hits += 1
                     push_deadline(tick + _MLP_SERVICE_L3)
                 else:
                     l3_stat_misses += 1
                     if len(l3_set) >= l3_assoc:
-                        victim, vdirty = l3_set.popitem(last=False)
+                        vdirty = l3_set.pop(next(iter(l3_set)))
                         l3_evictions += 1
                         if vdirty:
                             l3_writebacks += 1
@@ -623,25 +626,25 @@ class CoreModel:
                         trackers.pop(next(iter(trackers)))
                     tlb_set = dtlb_sets[page4k & dtlb_mask]
                     if page4k in tlb_set:
-                        tlb_set.move_to_end(page4k)
+                        tlb_set[page4k] = tlb_set.pop(page4k)
                         dtlb_l1_hits += 1
                     else:
                         stlb_set = stlb_sets[page4k & stlb_mask]
                         if page4k in stlb_set:
-                            stlb_set.move_to_end(page4k)
+                            stlb_set[page4k] = stlb_set.pop(page4k)
                             dtlb_stlb_hits += 1
                         else:
                             dtlb_walks += 1
                             if len(stlb_set) >= stlb_assoc:
-                                stlb_set.popitem(last=False)
+                                del stlb_set[next(iter(stlb_set))]
                             stlb_set[page4k] = None
                         if len(tlb_set) >= dtlb_assoc:
-                            tlb_set.popitem(last=False)
+                            del tlb_set[next(iter(tlb_set))]
                         tlb_set[page4k] = None
                 cache_set = l1d_sets[line & l1d_mask]
                 if line in cache_set:
                     l1d_hits += 1
-                    cache_set.move_to_end(line)
+                    del cache_set[line]
                     cache_set[line] = True
                     holders = dir_lines_get(line)
                     if holders is not None:
@@ -660,7 +663,8 @@ class CoreModel:
                     continue
                 l1d_misses += 1
                 if len(cache_set) >= l1d_assoc:
-                    victim, vdirty = cache_set.popitem(last=False)
+                    victim = next(iter(cache_set))
+                    vdirty = cache_set.pop(victim)
                     l1d_evictions += 1
                     if vdirty:
                         l1d_writebacks += 1
@@ -680,7 +684,7 @@ class CoreModel:
                     continue
                 l2_set = l2_sets[line & l2_mask]
                 if line in l2_set:
-                    l2_set.move_to_end(line)
+                    del l2_set[line]
                     l2_set[line] = True
                     l2_hits += 1
                     holders = dir_lines_get(line)
@@ -701,7 +705,8 @@ class CoreModel:
                 l2_misses += 1
                 offcore_rfo += 1
                 if len(l2_set) >= l2_assoc:
-                    victim, vdirty = l2_set.popitem(last=False)
+                    victim = next(iter(l2_set))
+                    vdirty = l2_set.pop(victim)
                     l2_evictions += 1
                     if vdirty:
                         l2_writebacks += 1
@@ -735,12 +740,12 @@ class CoreModel:
                         l3_set = l3_sets[line % l3_nsets]
                         if line in l3_set:
                             l3_stat_hits += 1
-                            l3_set.move_to_end(line)
+                            del l3_set[line]
                             l3_set[line] = True
                         else:
                             l3_stat_misses += 1
                             if len(l3_set) >= l3_assoc:
-                                victim, vdirty = l3_set.popitem(last=False)
+                                vdirty = l3_set.pop(next(iter(l3_set)))
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
@@ -750,14 +755,14 @@ class CoreModel:
                 push_tick(tick)
                 if line in l3_set:
                     l3_stat_hits += 1
-                    l3_set.move_to_end(line)
+                    del l3_set[line]
                     l3_set[line] = True
                     l3_hits += 1
                     push_deadline(tick + _MLP_SERVICE_L3)
                 else:
                     l3_stat_misses += 1
                     if len(l3_set) >= l3_assoc:
-                        victim, vdirty = l3_set.popitem(last=False)
+                        vdirty = l3_set.pop(next(iter(l3_set)))
                         l3_evictions += 1
                         if vdirty:
                             l3_writebacks += 1

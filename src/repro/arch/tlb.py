@@ -10,7 +10,6 @@ whose cycles feed the ``ITLB_CYCLE`` / ``DTLB_CYCLE`` Table II metrics.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,16 +110,19 @@ class Tlb:
         self.config = config
         self._set_mask = config.num_sets - 1
         self._assoc = config.associativity
-        self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(config.num_sets)]
+        # Each set is a dict of resident pages in LRU order (oldest first),
+        # kept as SetAssociativeCache keeps its sets: a hit re-inserts the
+        # page and an eviction removes the first key.
+        self._sets: list[dict[int, None]] = [{} for _ in range(config.num_sets)]
 
-    def _set_for(self, page: int) -> OrderedDict[int, None]:
+    def _set_for(self, page: int) -> dict[int, None]:
         return self._sets[page & self._set_mask]
 
     def lookup(self, page: int) -> bool:
         """Probe for ``page``; returns hit and updates LRU (no fill on miss)."""
         tlb_set = self._set_for(page)
         if page in tlb_set:
-            tlb_set.move_to_end(page)
+            tlb_set[page] = tlb_set.pop(page)
             return True
         return False
 
@@ -128,10 +130,10 @@ class Tlb:
         """Install ``page``, evicting the LRU victim if the set is full."""
         tlb_set = self._set_for(page)
         if page in tlb_set:
-            tlb_set.move_to_end(page)
+            tlb_set[page] = tlb_set.pop(page)
             return
         if len(tlb_set) >= self._assoc:
-            tlb_set.popitem(last=False)
+            del tlb_set[next(iter(tlb_set))]
         tlb_set[page] = None
 
     def flush(self) -> None:
@@ -181,7 +183,7 @@ class TlbHierarchy:
         l1 = self.l1
         tlb_set = l1._sets[page & l1._set_mask]
         if page in tlb_set:
-            tlb_set.move_to_end(page)
+            tlb_set[page] = tlb_set.pop(page)
             self.stats.l1_hits += 1
             return TRANSLATE_L1_HIT
         return self.translate_miss(page)

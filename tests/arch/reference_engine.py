@@ -128,7 +128,7 @@ def _fetch(core: CoreModel, pc: int, counts: SampleCounts) -> None:
     itlb_l1 = itlb.l1
     tlb_set = itlb_l1._sets[page & itlb_l1._set_mask]
     if page in tlb_set:
-        tlb_set.move_to_end(page)
+        tlb_set[page] = tlb_set.pop(page)
         itlb.stats.l1_hits += 1
     elif itlb.translate_miss(page) == TRANSLATE_STLB_HIT:
         counts.itlb_stlb_hits += 1
@@ -140,7 +140,7 @@ def _fetch(core: CoreModel, pc: int, counts: SampleCounts) -> None:
     cache_set = l1i._sets[line & l1i._set_mask]
     if line in cache_set:
         l1i.stats.hits += 1
-        cache_set.move_to_end(line)
+        cache_set[line] = cache_set.pop(line)
         hit = True
     else:
         l1i.fill_miss(cache_set, line, False)  # L1I lines never dirty
@@ -269,7 +269,7 @@ def _load(
     dtlb_l1 = dtlb.l1
     tlb_set = dtlb_l1._sets[page & dtlb_l1._set_mask]
     if page in tlb_set:
-        tlb_set.move_to_end(page)
+        tlb_set[page] = tlb_set.pop(page)
         dtlb.stats.l1_hits += 1
     elif dtlb.translate_miss(page) == TRANSLATE_STLB_HIT:
         counts.dtlb_stlb_hits += 1
@@ -281,7 +281,7 @@ def _load(
     cache_set = l1d._sets[line & l1d._set_mask]
     if line in cache_set:
         l1d.stats.hits += 1
-        cache_set.move_to_end(line)
+        cache_set[line] = cache_set.pop(line)
         return
     access = l1d.fill_miss(cache_set, line, False)
     _handle_l1d_eviction(core, access, counts)
@@ -340,7 +340,7 @@ def _store(
     dtlb_l1 = dtlb.l1
     tlb_set = dtlb_l1._sets[page & dtlb_l1._set_mask]
     if page in tlb_set:
-        tlb_set.move_to_end(page)
+        tlb_set[page] = tlb_set.pop(page)
         dtlb.stats.l1_hits += 1
     elif dtlb.translate_miss(page) == TRANSLATE_STLB_HIT:
         counts.dtlb_stlb_hits += 1
@@ -352,7 +352,7 @@ def _store(
     cache_set = l1d._sets[line & l1d._set_mask]
     if line in cache_set:
         l1d.stats.hits += 1
-        cache_set.move_to_end(line)
+        del cache_set[line]
         cache_set[line] = True
         state = core.directory.state(core.core_id, line)
         if state is MesiState.SHARED:

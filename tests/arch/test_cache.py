@@ -215,7 +215,11 @@ class TestPackedProtocol:
         span_cache.install_span(3, 20)
         for offset in range(19, -1, -1):
             line_cache.install_line(3 + offset)
-        assert span_cache._sets == line_cache._sets
+        # Compare ordered items: plain-dict equality ignores order, and
+        # the LRU order and dirty bits are what install_span must match.
+        assert [list(s.items()) for s in span_cache._sets] == [
+            list(s.items()) for s in line_cache._sets
+        ]
         assert span_cache.stats.accesses == 0
 
 
